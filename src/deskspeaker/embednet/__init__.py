@@ -2,24 +2,25 @@
 
 from .network import (DEFAULT_TDNN_OFFSETS, EmbedNetConfig, EmbedNetParams,
                       Linear, TdnnLayer, chunk_loss, chunk_loss_and_grads,
-                      export_attention_weights, extract_embedding,
-                      forward_logits, get_param_vector, grads_to_vector,
+                      embed_hidden, export_attention_weights,
+                      extract_embedding, forward_logits, get_param_vector,
+                      grads_to_vector, hidden_attention_weights,
                       init_embed_net, kink_margin, load_embed_net, param_names,
-                      save_embed_net, segment_forward, set_param_vector,
-                      softmax_cross_entropy, tdnn_forward)
+                      save_embed_net, set_param_vector, softmax_cross_entropy,
+                      tdnn_forward)
 from .ops import (AttentionParams, BatchNorm, PooledStats, attention_scores,
                   attention_weights, combine_weights, pool_stats,
                   pool_weighted_stats)
-from .train import train_embed_network, training_accuracy
+from .train import train_embed_network
 
 __all__ = [
     "DEFAULT_TDNN_OFFSETS", "EmbedNetConfig", "EmbedNetParams", "Linear",
     "TdnnLayer", "AttentionParams", "BatchNorm", "PooledStats",
     "attention_scores", "attention_weights", "combine_weights", "pool_stats",
-    "pool_weighted_stats", "tdnn_forward", "segment_forward",
-    "extract_embedding", "export_attention_weights", "forward_logits",
-    "train_embed_network", "training_accuracy", "init_embed_net",
-    "save_embed_net", "load_embed_net", "chunk_loss", "chunk_loss_and_grads",
-    "softmax_cross_entropy", "get_param_vector", "set_param_vector",
-    "grads_to_vector", "param_names", "kink_margin",
+    "pool_weighted_stats", "tdnn_forward", "embed_hidden",
+    "hidden_attention_weights", "extract_embedding",
+    "export_attention_weights", "forward_logits", "train_embed_network",
+    "init_embed_net", "save_embed_net", "load_embed_net", "chunk_loss",
+    "chunk_loss_and_grads", "softmax_cross_entropy", "get_param_vector",
+    "set_param_vector", "grads_to_vector", "param_names", "kink_margin",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import (FormatError, MissingAttentionError,
                       TooShortUtteranceError)
 from ..fileio import read_named_tensors, write_named_tensors
-from .ops import (AttentionParams, BatchNorm, PooledStats, attention_scores,
+from .ops import (AttentionParams, BatchNorm, attention_scores,
                   attention_weights, pool_weighted_stats)
 
 DEFAULT_TDNN_OFFSETS = ((-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3), (0,), (0,))
@@ -148,16 +148,6 @@ def _forward_frames(params: EmbedNetParams, x: np.ndarray, cache: list | None = 
     return y
 
 
-def _attention_forward(att: AttentionParams, h: np.ndarray, cache: dict | None = None):
-    za = h @ att.weight.T + att.bias
-    ra = np.maximum(za, 0.0)
-    ua = att.norm.apply(ra)
-    e = ua @ att.v + att.k
-    if cache is not None:
-        cache.update(za=za, ra=ra, ua=ua)
-    return e
-
-
 def _segment_forward(params: EmbedNetParams, s: np.ndarray, cache: dict | None = None):
     emb = params.seg1.weight @ s + params.seg1.bias
     r1 = np.maximum(emb, 0.0)
@@ -176,10 +166,11 @@ def tdnn_forward(frames, params: EmbedNetParams) -> np.ndarray:
     return _forward_frames(params, _as_frames(frames))
 
 
-def segment_forward(stats: PooledStats, params: EmbedNetParams):
-    """(embedding, logits) from pooled statistics. The embedding is the
-    pre-activation output of the first segment layer."""
-    return _segment_forward(params, stats.concat())
+def hidden_attention_weights(h: np.ndarray, params: EmbedNetParams) -> np.ndarray:
+    """The network's attention weights over a hidden sequence from tdnn_forward."""
+    if params.attention is None:
+        raise MissingAttentionError("network has no attention layer")
+    return attention_weights(attention_scores(h, params.attention))
 
 
 def _resolve_weights(h: np.ndarray, params: EmbedNetParams, weights):
@@ -187,32 +178,31 @@ def _resolve_weights(h: np.ndarray, params: EmbedNetParams, weights):
         if weights == "uniform":
             return np.full(h.shape[0], 1.0 / h.shape[0])
         if weights == "internal":
-            if params.attention is None:
-                raise MissingAttentionError(
-                    "internal weights requested from a network without attention")
-            return attention_weights(attention_scores(h, params.attention))
+            return hidden_attention_weights(h, params)
         raise FormatError(f"unknown weight source {weights!r}")
     return np.asarray(weights, dtype=np.float64)
 
 
-def extract_embedding(frames, params: EmbedNetParams, weights="uniform") -> np.ndarray:
-    """Segment embedding with the requested pooling weights.
+def embed_hidden(h: np.ndarray, params: EmbedNetParams, weights="uniform") -> np.ndarray:
+    """Segment embedding of a hidden sequence from tdnn_forward: pool it with
+    the requested weights, then apply the first segment layer.
 
     weights: "uniform", "internal" (the network's own attention), or an
     explicit per-frame weight vector over the valid frames.
     """
-    h = tdnn_forward(frames, params)
     w = _resolve_weights(h, params, weights)
     emb, _ = _segment_forward(params, pool_weighted_stats(h, w).concat())
     return emb
 
 
+def extract_embedding(frames, params: EmbedNetParams, weights="uniform") -> np.ndarray:
+    """Segment embedding of an utterance; weights as for embed_hidden."""
+    return embed_hidden(tdnn_forward(frames, params), params, weights)
+
+
 def export_attention_weights(frames, params: EmbedNetParams) -> np.ndarray:
     """The network's attention weights over the valid frames of an utterance."""
-    h = tdnn_forward(frames, params)
-    if params.attention is None:
-        raise MissingAttentionError("network has no attention layer to export")
-    return attention_weights(attention_scores(h, params.attention))
+    return hidden_attention_weights(tdnn_forward(frames, params), params)
 
 
 def forward_logits(frames, params: EmbedNetParams, weights=None) -> np.ndarray:
@@ -299,7 +289,7 @@ def chunk_loss(params: EmbedNetParams, x: np.ndarray, label: int, mode: str) -> 
     """Training-objective forward only (used by finite-difference checks)."""
     h = _forward_frames(params, x)
     if mode == "internal":
-        w = attention_weights(_attention_forward(params.attention, h))
+        w = attention_weights(attention_scores(h, params.attention))
     else:
         w = np.full(h.shape[0], 1.0 / h.shape[0])
     _, logits = _segment_forward(params, pool_weighted_stats(h, w).concat())
@@ -330,7 +320,7 @@ def relu_inputs(params: EmbedNetParams, x: np.ndarray, mode: str):
     inputs = {f"tdnn{i}": c["z"] for i, c in enumerate(frame_cache)}
     if mode == "internal":
         att_cache: dict = {}
-        alpha = attention_weights(_attention_forward(params.attention, h, att_cache))
+        alpha = attention_weights(attention_scores(h, params.attention, att_cache))
         inputs["att"] = att_cache["za"]
     else:
         alpha = np.full(h.shape[0], 1.0 / h.shape[0])
@@ -367,7 +357,7 @@ def chunk_loss_and_grads(params: EmbedNetParams, x: np.ndarray, label: int, mode
     h = _forward_frames(params, x, frame_cache)
     att_cache: dict = {}
     if mode == "internal":
-        e = _attention_forward(params.attention, h, att_cache)
+        e = attention_scores(h, params.attention, att_cache)
         alpha = attention_weights(e)
     elif mode == "uniform":
         alpha = np.full(h.shape[0], 1.0 / h.shape[0])

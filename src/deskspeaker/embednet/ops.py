@@ -70,12 +70,20 @@ class PooledStats:
         return np.concatenate([self.mean, self.std])
 
 
-def attention_scores(h: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Scalar relevance score per frame."""
+def attention_scores(h: np.ndarray, params: AttentionParams,
+                     cache: dict | None = None) -> np.ndarray:
+    """Scalar relevance score per frame.
+
+    cache, when given, receives the head's intermediates for the backward
+    pass: za (pre-ReLU), ra (post-ReLU) and ua (normalized).
+    """
     h = np.asarray(h, dtype=np.float64)
-    z = h @ params.weight.T + params.bias
-    u = params.norm.apply(np.maximum(z, 0.0))
-    return u @ params.v + params.k
+    za = h @ params.weight.T + params.bias
+    ra = np.maximum(za, 0.0)
+    ua = params.norm.apply(ra)
+    if cache is not None:
+        cache.update(za=za, ra=ra, ua=ua)
+    return ua @ params.v + params.k
 
 
 def attention_weights(scores: np.ndarray) -> np.ndarray:

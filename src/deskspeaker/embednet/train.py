@@ -16,9 +16,8 @@ import numpy as np
 
 from ..errors import EmptyInputError, NumericsError
 from .network import (EmbedNetConfig, EmbedNetParams, _as_frames,
-                      chunk_loss_and_grads, forward_logits, get_param_vector,
-                      grads_to_vector, init_embed_net, relu_inputs, relu_sites,
-                      set_param_vector)
+                      chunk_loss_and_grads, get_param_vector, grads_to_vector,
+                      init_embed_net, relu_inputs, relu_sites, set_param_vector)
 
 log = logging.getLogger(__name__)
 
@@ -120,11 +119,3 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig) -> EmbedNetPara
     params.train_loss = np.asarray(history)
     return params
 
-
-def training_accuracy(params: EmbedNetParams, utterances, labels) -> float:
-    """Fraction of utterances whose argmax logit matches the label."""
-    hits = 0
-    for utt, label in zip(utterances, labels):
-        logits = forward_logits(_as_frames(utt), params)
-        hits += int(np.argmax(logits) == int(label))
-    return hits / len(labels)

@@ -66,10 +66,7 @@ def _write_frame_matrix(path, magic: bytes, data: np.ndarray, frame_period: floa
 
 def _read_frame_matrix(path, magic: bytes):
     with open(path, "rb") as f:
-        head = f.read(_FRAME_HEADER.size)
-        if len(head) < _FRAME_HEADER.size:
-            raise FormatError(f"{path}: truncated header")
-        got, n_rows, n_cols, period = _FRAME_HEADER.unpack(head)
+        got, n_rows, n_cols, period = _unpack(f, _FRAME_HEADER.format, path)
         if got != magic:
             raise FormatError(f"{path}: expected magic {magic!r}, found {got!r}")
         payload = np.fromfile(f, dtype="<f4", count=n_rows * n_cols)
@@ -160,6 +157,17 @@ def _read_f64(f, count, path):
     return arr
 
 
+def _read_exact(f, size, path) -> bytes:
+    data = f.read(size)
+    if len(data) != size:
+        raise FormatError(f"{path}: truncated file")
+    return data
+
+
+def _unpack(f, fmt, path) -> tuple:
+    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), path))
+
+
 def _check_magic(f, magic, path):
     got = f.read(4)
     if got != magic:
@@ -178,7 +186,7 @@ def write_gmm(path, weights, means, variances):
 def read_gmm(path):
     with open(path, "rb") as f:
         _check_magic(f, b"GMM1", path)
-        c, d = struct.unpack("<II", f.read(8))
+        c, d = _unpack(f, "<II", path)
         weights = _read_f64(f, c, path)
         means = _read_f64(f, c * d, path).reshape(c, d)
         variances = _read_f64(f, c * d, path).reshape(c, d)
@@ -196,7 +204,7 @@ def write_stats(path, n, first_order):
 def read_stats(path):
     with open(path, "rb") as f:
         _check_magic(f, b"STA1", path)
-        c, d = struct.unpack("<II", f.read(8))
+        c, d = _unpack(f, "<II", path)
         n = _read_f64(f, c, path)
         first_order = _read_f64(f, c * d, path).reshape(c, d)
     return n, first_order
@@ -214,7 +222,7 @@ def write_tvm(path, mean, t_matrix, sigma):
 def read_tvm(path):
     with open(path, "rb") as f:
         _check_magic(f, b"TVM1", path)
-        cd, r = struct.unpack("<II", f.read(8))
+        cd, r = _unpack(f, "<II", path)
         mean = _read_f64(f, cd, path)
         t_matrix = _read_f64(f, cd * r, path).reshape(cd, r)
         sigma = _read_f64(f, cd, path)
@@ -234,7 +242,7 @@ def write_plda(path, mean, speaker_subspace, within_cov):
 def read_plda(path):
     with open(path, "rb") as f:
         _check_magic(f, b"PLD1", path)
-        e, s = struct.unpack("<II", f.read(8))
+        e, s = _unpack(f, "<II", path)
         mean = _read_f64(f, e, path)
         subspace = _read_f64(f, e * s, path).reshape(e, s)
         within = _read_f64(f, e * e, path).reshape(e, e)
@@ -252,7 +260,7 @@ def write_preprocessor(path, mean, whitener):
 def read_preprocessor(path):
     with open(path, "rb") as f:
         _check_magic(f, b"PRE1", path)
-        (e,) = struct.unpack("<I", f.read(4))
+        (e,) = _unpack(f, "<I", path)
         mean = _read_f64(f, e, path)
         whitener = _read_f64(f, e * e, path).reshape(e, e)
     return mean, whitener
@@ -285,23 +293,23 @@ def write_named_tensors(path, magic: bytes, meta: dict[str, int], tensors: dict[
 def read_named_tensors(path, magic: bytes):
     with open(path, "rb") as f:
         _check_magic(f, magic, path)
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = _unpack(f, "<I", path)
         if version != 1:
             raise FormatError(f"{path}: unsupported version {version}")
-        (n_meta,) = struct.unpack("<I", f.read(4))
+        (n_meta,) = _unpack(f, "<I", path)
         meta = {}
         for _ in range(n_meta):
-            (klen,) = struct.unpack("<H", f.read(2))
-            key = f.read(klen).decode()
-            (val,) = struct.unpack("<q", f.read(8))
+            (klen,) = _unpack(f, "<H", path)
+            key = _read_exact(f, klen, path).decode()
+            (val,) = _unpack(f, "<q", path)
             meta[key] = val
-        (n_tensors,) = struct.unpack("<I", f.read(4))
+        (n_tensors,) = _unpack(f, "<I", path)
         tensors = {}
         for _ in range(n_tensors):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode()
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim)) if ndim else ()
+            (nlen,) = _unpack(f, "<H", path)
+            name = _read_exact(f, nlen, path).decode()
+            (ndim,) = _unpack(f, "<I", path)
+            shape = _unpack(f, f"<{ndim}I", path)
             count = int(np.prod(shape)) if shape else 1
             arr = np.fromfile(f, dtype="<f4", count=count)
             if arr.size != count:

@@ -34,18 +34,19 @@ from .backend import (PldaModel, Preprocessor, apply_preprocess,
                       fit_preprocessor, plda_score_matrix, train_plda)
 from .config import PipelineConfig, save_config
 from .embednet import (EmbedNetConfig, EmbedNetParams, combine_weights,
-                       export_attention_weights, extract_embedding,
-                       load_embed_net, save_embed_net, train_embed_network)
+                       embed_hidden, export_attention_weights,
+                       hidden_attention_weights, load_embed_net,
+                       save_embed_net, tdnn_forward, train_embed_network)
 from .errors import (DegenerateWeightsError, FormatError,
                      MissingAttentionError, StageDependencyError)
 from .features import (SoftVadConfig, VadConfig, append_deltas, energy_vad,
                        sliding_cmn, soft_vad_posteriors)
 from .fileio import AcousticFrameSequence
-from .ivector import (SufficientStats, TotalVariabilityModel,
-                      accumulate_stats, extract_ivector, train_tvm)
+from .ivector import (TotalVariabilityModel, accumulate_stats,
+                      extract_ivector, train_tvm, weighted_stats)
 from .metrics import TrialScoreSet, compute_eer, compute_min_cprimary
 from .synth import generate_corpus
-from .ubm import DiagGmm, train_gmm
+from .ubm import DiagGmm, gmm_posteriors, train_gmm
 
 STAGES = ("synth", "features", "train-embed", "train-ubm", "train-tvm",
           "extract", "backend", "score", "report")
@@ -378,15 +379,12 @@ def _stage_train_tvm(cfg: PipelineConfig, out: Path, echo):
     _, train = _train_rows(out, "train-tvm")
     _require_stage(out, "train-tvm", "train-ubm")
     gmm = DiagGmm.load(_stage_dir(out, "train-ubm") / "ubm.gmm1")
-    d = _stage_dir(out, "train-tvm")
-    (d / "stats").mkdir(parents=True, exist_ok=True)
-    stats_list = []
-    for utt, _, _ in train:
-        stats = accumulate_stats(_read_processed(out, utt).frames, gmm)
-        stats.save(d / "stats" / f"{utt}.sta")
-        stats_list.append(stats)
+    stats_list = [accumulate_stats(_read_processed(out, utt).frames, gmm)
+                  for utt, _, _ in train]
     tvm = train_tvm(stats_list, gmm, cfg.tvm.rank, cfg.tvm.n_iters,
                     seed=cfg.seed + 14)
+    d = _stage_dir(out, "train-tvm")
+    d.mkdir(parents=True, exist_ok=True)
     tvm.save(d / "tvm.tvm1")
     if echo:
         echo(f"  rank {cfg.tvm.rank}, objective "
@@ -419,7 +417,6 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
     collected = {variant_name(s, v): {p: ([], []) for p in PARTITIONS}
                  for s, v in variants}
     qdir = _stage_dir(out, "features") / "q"
-    stats_cache_dir = _stage_dir(out, "train-tvm") / "stats"
 
     for utt, _, part in rows:
         seq = _read_processed(out, utt)
@@ -427,11 +424,19 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
         n = frames.shape[0]
         q = fileio.read_posteriors(qdir / f"{utt}.vps")
 
-        alpha = None
+        # The per-utterance work every variant shares, done once: one TDNN
+        # pass per net, one UBM posterior pass, one read of the exported
+        # weights. The variants below only pool or accumulate from these.
+        hidden = {kind: tdnn_forward(frames, net) for kind, net in nets.items()}
+        alpha = exported = None
         if export_weights:
-            alpha = export_attention_weights(frames, nets["att"])
-            fileio.write_frame_weights(weights_dir / f"{utt}.fwt", alpha,
-                                       seq.frame_period)
+            alpha = hidden_attention_weights(hidden["att"], nets["att"])
+            path = weights_dir / f"{utt}.fwt"
+            fileio.write_frame_weights(path, alpha, seq.frame_period)
+            # S3 and S6 consume the weights as exported (float32, then
+            # renormalized); S2 keeps its own float64 alpha.
+            exported = fileio.read_frame_weights(path)
+        post = gmm_posteriors(frames, gmm) if gmm is not None else None
 
         for system, vad in variants:
             spec = SYSTEMS[system]
@@ -439,31 +444,25 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
                 net = nets[spec.net]
                 left, right = net.left_context, net.right_context
                 n_valid = n - left - right
-                q_valid = q[left:n - right]
                 if spec.weights == "uniform":
                     base = np.full(n_valid, 1.0 / n_valid)
                 elif spec.weights == "internal":
                     base = alpha
-                else:  # external, read back through the exported file
-                    base = fileio.read_frame_weights(weights_dir / f"{utt}.fwt")
-                w = combine_weights(base, q_valid) if vad else (
-                    "uniform" if spec.weights == "uniform" else base)
-                vec = extract_embedding(frames, net, w)
+                else:
+                    base = exported
+                w = combine_weights(base, q[left:n - right]) if vad else base
+                vec = embed_hidden(hidden[spec.net], net, w)
             else:
                 if spec.weights == "external":
                     src_net = nets["att"]
-                    a = fileio.read_frame_weights(weights_dir / f"{utt}.fwt")
                     w_full = expand_frame_weights(
-                        a, n, src_net.left_context, src_net.right_context)
+                        exported, n, src_net.left_context, src_net.right_context)
                     w = combine_weights(w_full, q) if vad else w_full
                 else:
+                    # None, not 1/n each: n * (1/n) can round away from 1,
+                    # and S5 keeps the statistics the TVM was trained on
                     w = combine_weights(np.full(n, 1.0 / n), q) if vad else None
-                cache = stats_cache_dir / f"{utt}.sta"
-                if w is None and part == "train" and cache.exists():
-                    stats = SufficientStats.load(cache)
-                else:
-                    stats = accumulate_stats(frames, gmm, w)
-                vec = extract_ivector(stats, tvm)
+                vec = extract_ivector(weighted_stats(frames, post, gmm, w), tvm)
             ids, vecs = collected[variant_name(system, vad)][part]
             ids.append(utt)
             vecs.append(vec)

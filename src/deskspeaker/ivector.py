@@ -35,15 +35,13 @@ class SufficientStats:
 
     n: np.ndarray            # (C,)
     first: np.ndarray        # (C, D)
-    total_frames: float = 0.0
 
     def save(self, path):
         write_stats(path, self.n, self.first)
 
     @classmethod
     def load(cls, path) -> "SufficientStats":
-        n, first = read_stats(path)
-        return cls(n, first, float(n.sum()))
+        return cls(*read_stats(path))
 
 
 @dataclass
@@ -72,8 +70,16 @@ def accumulate_stats(frames, gmm: DiagGmm, weights: np.ndarray | None = None) ->
     posterior contribution is scaled by L * weights[t]. None means uniform.
     """
     frames = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
+    return weighted_stats(frames, gmm_posteriors(frames, gmm), gmm, weights)
+
+
+def weighted_stats(frames: np.ndarray, post: np.ndarray, gmm: DiagGmm,
+                   weights: np.ndarray | None = None) -> SufficientStats:
+    """Sufficient statistics from an utterance's (L, C) component posteriors
+    under gmm; weights as for accumulate_stats. post is not modified, so one
+    posterior pass can serve several weightings.
+    """
     length = frames.shape[0]
-    post = gmm_posteriors(frames, gmm)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (length,):
@@ -84,7 +90,7 @@ def accumulate_stats(frames, gmm: DiagGmm, weights: np.ndarray | None = None) ->
         post = post * (length * weights)[:, None]
     n = post.sum(axis=0)
     first = post.T @ frames - n[:, None] * gmm.means
-    return SufficientStats(n, first, float(length))
+    return SufficientStats(n, first)
 
 
 def _posterior(stats: SufficientStats, tvm: TotalVariabilityModel):

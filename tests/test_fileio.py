@@ -205,6 +205,42 @@ class TestNamedTensors:
             fileio.read_named_tensors(path, b"EMB1")
 
 
+def _model_files():
+    rng = np.random.default_rng(10)
+    yield ("GMM1", lambda p: fileio.write_gmm(
+        p, rng.dirichlet(np.ones(3)), rng.standard_normal((3, 2)),
+        rng.random((3, 2)) + 0.1), fileio.read_gmm)
+    yield ("STA1", lambda p: fileio.write_stats(
+        p, rng.random(3), rng.standard_normal((3, 2))), fileio.read_stats)
+    yield ("TVM1", lambda p: fileio.write_tvm(
+        p, rng.standard_normal(4), rng.standard_normal((4, 2)),
+        rng.random(4) + 0.1), fileio.read_tvm)
+    yield ("PLD1", lambda p: fileio.write_plda(
+        p, rng.standard_normal(3), rng.standard_normal((3, 1)), np.eye(3)),
+        fileio.read_plda)
+    yield ("PRE1", lambda p: fileio.write_preprocessor(
+        p, rng.standard_normal(3), rng.standard_normal((3, 3))),
+        fileio.read_preprocessor)
+    yield ("EMB1", lambda p: fileio.write_named_tensors(
+        p, b"EMB1", {"n": 3, "offset": -2},
+        {"w": rng.standard_normal((2, 3)), "k": np.array(0.5)}),
+        lambda p: fileio.read_named_tensors(p, b"EMB1"))
+
+
+@pytest.mark.parametrize("write, read", [
+    pytest.param(write, read, id=kind) for kind, write, read in _model_files()])
+def test_truncated_model_file_raises_format_error(tmp_path, write, read):
+    whole = tmp_path / "whole"
+    write(whole)
+    data = whole.read_bytes()
+    read(whole)
+    cut = tmp_path / "cut"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(FormatError):
+            read(cut)
+
+
 class TestTextSidecars:
     def test_vector_set_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)

@@ -5,22 +5,27 @@ utterances, 2 training epochs) so the whole pipeline finishes in seconds.
 """
 
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from deskspeaker import fileio
+from deskspeaker import fileio, harness, ivector
 from deskspeaker.cli import main
 from deskspeaker.config import (config_to_dict, copy_config, default_config,
                                 load_config)
-from deskspeaker.embednet import (EmbedNetConfig, export_attention_weights,
-                                  init_embed_net)
+from deskspeaker.embednet import (EmbedNetConfig, combine_weights,
+                                  export_attention_weights, extract_embedding,
+                                  init_embed_net, load_embed_net, network)
 from deskspeaker.errors import (DegenerateWeightsError, MissingAttentionError,
                                 StageDependencyError)
-from deskspeaker.harness import (Report, SystemResult, cross_apply_weights,
-                                 expand_frame_weights, load_report,
-                                 run_pipeline, variant_name)
+from deskspeaker.harness import (SYSTEMS, Report, SystemResult,
+                                 cross_apply_weights, expand_frame_weights,
+                                 load_report, run_pipeline, variant_name)
+from deskspeaker.ivector import (TotalVariabilityModel, accumulate_stats,
+                                 extract_ivector)
 from deskspeaker.synth import SynthCorpusConfig
+from deskspeaker.ubm import DiagGmm
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +173,99 @@ def test_pipeline_writes_expected_artifacts(tiny_run):
 def _utt_ids(out):
     with open(out / "corpus" / "manifest.tsv") as f:
         return [line.split()[0] for line in f]
+
+
+def _per_variant_vector(system, vad, frames, q, exported, nets, gmm, tvm):
+    """One variant's vector through the public per-utterance functions, each
+    running its own TDNN or posterior pass."""
+    spec = SYSTEMS[system]
+    n = frames.shape[0]
+    if spec.kind == "embed":
+        net = nets[spec.net]
+        left, right = net.left_context, net.right_context
+        if not vad and spec.weights != "external":
+            return extract_embedding(frames, net, spec.weights)
+        if spec.weights == "uniform":
+            base = np.full(n - left - right, 1.0 / (n - left - right))
+        elif spec.weights == "internal":
+            base = export_attention_weights(frames, net)
+        else:
+            base = exported
+        w = combine_weights(base, q[left:n - right]) if vad else base
+        return extract_embedding(frames, net, w)
+    if spec.weights == "external":
+        att = nets["att"]
+        w = expand_frame_weights(exported, n, att.left_context,
+                                 att.right_context)
+        w = combine_weights(w, q) if vad else w
+    else:
+        w = combine_weights(np.full(n, 1.0 / n), q) if vad else None
+    return extract_ivector(accumulate_stats(frames, gmm, w), tvm)
+
+
+def test_extract_equals_per_variant_recomputation(tiny_run):
+    cfg, out, _ = tiny_run
+    nets = {kind: load_embed_net(out / "embed" / f"{kind}.emb1")
+            for kind in ("att", "nonatt")}
+    gmm = DiagGmm.load(out / "ubm" / "ubm.gmm1")
+    tvm = TotalVariabilityModel.load(out / "tvm" / "tvm.tvm1")
+    with open(out / "features" / "manifest.tsv") as f:
+        rows = [line.split() for line in f]
+    checked = 0
+    for part in ("train", "enroll", "test"):
+        for utt in [u for u, _, p in rows if p == part][:2]:
+            frames = fileio.read_features(
+                out / "features" / "feats" / f"{utt}.afs").frames
+            q = fileio.read_posteriors(out / "features" / "q" / f"{utt}.vps")
+            exported = fileio.read_frame_weights(out / "weights" / f"{utt}.fwt")
+            for system in cfg.systems:
+                for vad in (False, True):
+                    ids, stored = fileio.read_vector_set(
+                        out / "vectors" / variant_name(system, vad) / part)
+                    want = _per_variant_vector(system, vad, frames, q,
+                                               exported, nets, gmm, tvm)
+                    np.testing.assert_array_equal(
+                        stored[ids.index(utt)],
+                        want.astype(np.float32).astype(np.float64),
+                        err_msg=f"{variant_name(system, vad)} {utt}")
+                    checked += 1
+    assert checked == 3 * 2 * len(cfg.systems) * 2
+
+
+def test_extract_runs_each_shared_pass_once(tiny_run, tmp_path, monkeypatch):
+    cfg, out, _ = tiny_run
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    (clone / "vectors" / ".stamp.json").unlink()
+    cfg2 = copy_config(cfg)
+    cfg2.out = str(clone)
+    forwards, posteriors = Counter(), Counter()
+    tdnn_forward, gmm_posteriors = harness.tdnn_forward, harness.gmm_posteriors
+
+    def counted_forward(frames, params):
+        forwards[(np.asarray(frames).tobytes(), id(params))] += 1
+        return tdnn_forward(frames, params)
+
+    def counted_posteriors(frames, gmm):
+        posteriors[np.asarray(frames).tobytes()] += 1
+        return gmm_posteriors(frames, gmm)
+
+    # also where the per-utterance functions look their passes up, so a
+    # pass run through extract_embedding or accumulate_stats counts too
+    for module in (harness, network):
+        monkeypatch.setattr(module, "tdnn_forward", counted_forward)
+    for module in (harness, ivector):
+        monkeypatch.setattr(module, "gmm_posteriors", counted_posteriors)
+    lines = []
+    run_pipeline(cfg2, stages=["extract"], echo=lines.append)
+    assert "[extract]" in lines
+    n_utts = len(_utt_ids(out))
+    assert len(forwards) == 2 * n_utts  # (utterance, net) pairs
+    assert set(forwards.values()) == {1}
+    assert len(posteriors) == n_utts
+    assert set(posteriors.values()) == {1}
+    for path in (out / "vectors").rglob("*.afs"):
+        assert (clone / path.relative_to(out)).read_bytes() == path.read_bytes()
 
 
 def test_report_get_and_text(tiny_run):
