@@ -11,7 +11,7 @@ from .errors import (AllSilenceError, DegenerateScoreSetError,
                      EmptyInputError, FormatError, MissingAttentionError,
                      NumericsError, StageDependencyError,
                      TooShortUtteranceError)
-from .fileio import AcousticFrameSequence, Waveform
+from .fileio import AcousticFrameSequence
 from .harness import (Report, SystemResult, cross_apply_weights,
                       expand_frame_weights, load_report, run_pipeline)
 from .ivector import (SufficientStats, TotalVariabilityModel,
@@ -24,7 +24,7 @@ from .ubm import DiagGmm, gmm_loglik, gmm_posteriors, train_gmm
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcousticFrameSequence", "Waveform", "PipelineConfig", "default_config",
+    "AcousticFrameSequence", "PipelineConfig", "default_config",
     "load_config", "save_config", "config_to_dict", "copy_config",
     "run_pipeline", "Report", "SystemResult", "load_report",
     "cross_apply_weights", "expand_frame_weights", "SynthCorpus",

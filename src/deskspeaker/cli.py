@@ -7,20 +7,7 @@ import sys
 
 from .config import KNOWN_SYSTEMS, default_config, load_config
 from .errors import DeskSpeakerError
-from .harness import STAGES, run_pipeline
-
-_STAGE_HELP = {
-    "synth": "generate the synthetic corpus",
-    "features": "apply front-end processing and voice posteriors",
-    "train-embed": "train the embedding network(s)",
-    "train-ubm": "train the background mixture model",
-    "train-tvm": "train the total-variability subspace",
-    "extract": "extract vectors for every system variant",
-    "backend": "fit preprocessor and scoring backend per variant",
-    "score": "score all enroll/test trials",
-    "report": "compute error metrics and write the report",
-    "run-all": "run every stage in order",
-}
+from .harness import PIPELINE, run_pipeline
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -42,8 +29,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale speaker recognition pipeline on synthetic "
                     "speech-like data.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="STAGE")
-    for name in (*STAGES, "run-all"):
-        _add_common(sub.add_parser(name, help=_STAGE_HELP[name]))
+    for stage in PIPELINE:
+        _add_common(sub.add_parser(
+            stage.name, help=stage.run.__doc__.splitlines()[0]))
+    _add_common(sub.add_parser("run-all", help="Run every stage in order."))
     return parser
 
 
@@ -66,7 +55,9 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         stages = None if args.command == "run-all" else [args.command]
-        run_pipeline(cfg, stages=stages, echo=print)
+        report = run_pipeline(cfg, stages=stages, echo=print)
+        if report is not None:
+            print(report.to_text(), end="")
     except (DeskSpeakerError, ValueError, OSError) as exc:
         print(f"deskspeaker: {exc}", file=sys.stderr)
         return 2

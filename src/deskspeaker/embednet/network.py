@@ -244,10 +244,6 @@ def _param_items(params: EmbedNetParams):
     yield "out.b", params.out.bias
 
 
-def param_names(params: EmbedNetParams) -> list[str]:
-    return [name for name, _ in _param_items(params)]
-
-
 def get_param_vector(params: EmbedNetParams) -> np.ndarray:
     return np.concatenate([np.ravel(arr) for _, arr in _param_items(params)])
 

@@ -6,7 +6,7 @@ class DeskSpeakerError(Exception):
 
 
 class EmptyInputError(DeskSpeakerError, ValueError):
-    """Input carries no usable frames/samples (e.g. waveform shorter than one window)."""
+    """Input carries no usable frames (e.g. an empty frame sequence)."""
 
 
 class AllSilenceError(DeskSpeakerError, ValueError):

@@ -1,11 +1,10 @@
-"""Acoustic front end: MFCC extraction, deltas, sliding CMN, energy VAD,
-and logistic soft-VAD posteriors.
+"""Frame-level front end: deltas, sliding CMN, energy VAD, and logistic
+soft-VAD posteriors, applied to acoustic frame sequences.
 
 Conventions
 -----------
-* Frames are rows; coefficient 0 of an MFCC frame is replaced by the floored
-  log frame energy, so downstream VAD can always find energy in a known
-  column (configurable via ``energy_col``).
+* Frames are rows; one column (0 by default, configurable via
+  ``energy_col``) carries the log frame energy that the VADs threshold.
 * The VAD threshold is corpus-relative: mean log-energy of the utterance
   plus a configured offset. An absolute override exists for testing and for
   external calibration.
@@ -19,23 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import AllSilenceError, EmptyInputError
-from .fileio import AcousticFrameSequence, Waveform
-
-_ENERGY_FLOOR = 1e-10
-
-
-@dataclass
-class FrontEndConfig:
-    n_coeffs: int = 20
-    window_s: float = 0.025
-    step_s: float = 0.010
-    n_mels: int = 23
-    preemphasis: float = 0.97
-    fmin: float = 0.0
-    fmax: float | None = None  # None -> Nyquist
+from .fileio import AcousticFrameSequence
 
 
 @dataclass
@@ -52,85 +37,6 @@ class SoftVadConfig:
     offset: float = 0.0
     threshold: float | None = None
     smooth_radius: int = 2
-
-
-def _hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def _mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_filterbank(n_mels: int, nfft: int, sample_rate: int,
-                   fmin: float = 0.0, fmax: float | None = None):
-    """Triangular mel filterbank on rfft bins.
-
-    Returns (filters, centers_hz) where filters is (n_mels, nfft//2 + 1).
-    """
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    mel_pts = np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2)
-    hz_pts = _mel_to_hz(mel_pts)
-    bin_freqs = np.arange(nfft // 2 + 1) * sample_rate / nfft
-    filters = np.zeros((n_mels, bin_freqs.size))
-    for j in range(n_mels):
-        lo, mid, hi = hz_pts[j], hz_pts[j + 1], hz_pts[j + 2]
-        up = (bin_freqs - lo) / (mid - lo)
-        down = (hi - bin_freqs) / (hi - mid)
-        filters[j] = np.maximum(0.0, np.minimum(up, down))
-    return filters, hz_pts[1:-1]
-
-
-def _frame_signal(samples: np.ndarray, win_len: int, step: int):
-    n_frames = (samples.size - win_len) // step + 1
-    idx = np.arange(win_len)[None, :] + step * np.arange(n_frames)[:, None]
-    return samples[idx]
-
-
-def log_mel_energies(wave: Waveform, cfg: FrontEndConfig | None = None):
-    """Log mel filterbank energies plus per-frame log energy.
-
-    Returns (log_fbank (L, n_mels), log_energy (L,)). Exposed separately from
-    compute_mfcc so the filterbank response is observable before the DCT.
-    """
-    cfg = cfg or FrontEndConfig()
-    x = np.asarray(wave.samples, dtype=np.float64)
-    win_len = int(round(cfg.window_s * wave.sample_rate))
-    step = int(round(cfg.step_s * wave.sample_rate))
-    if x.size < win_len or win_len < 2 or step < 1:
-        raise EmptyInputError(
-            f"waveform of {x.size} samples is shorter than one "
-            f"{win_len}-sample analysis window")
-    pre = np.empty_like(x)
-    pre[0] = x[0]
-    pre[1:] = x[1:] - cfg.preemphasis * x[:-1]
-    frames = _frame_signal(pre, win_len, step)
-    log_energy = np.log(np.maximum((frames ** 2).sum(axis=1), _ENERGY_FLOOR))
-    nfft = 1
-    while nfft < win_len:
-        nfft *= 2
-    window = np.hamming(win_len)
-    spec = np.fft.rfft(frames * window, n=nfft, axis=1)
-    power = (spec.real ** 2 + spec.imag ** 2)
-    filters, _ = mel_filterbank(cfg.n_mels, nfft, wave.sample_rate,
-                                cfg.fmin, cfg.fmax)
-    fbank = power @ filters.T
-    log_fbank = np.log(np.maximum(fbank, _ENERGY_FLOOR))
-    return log_fbank, log_energy
-
-
-def compute_mfcc(wave: Waveform, cfg: FrontEndConfig | None = None) -> AcousticFrameSequence:
-    """Mel-frequency cepstra with coefficient 0 replaced by log frame energy.
-
-    Frame count is floor((n_samples - window) / step) + 1; a signal shorter
-    than one window raises EmptyInputError.
-    """
-    cfg = cfg or FrontEndConfig()
-    log_fbank, log_energy = log_mel_energies(wave, cfg)
-    cepstra = dct(log_fbank, type=2, norm="ortho", axis=1)[:, :cfg.n_coeffs]
-    cepstra[:, 0] = log_energy
-    return AcousticFrameSequence(cepstra, cfg.step_s)
 
 
 def append_deltas(seq: AcousticFrameSequence, radius: int = 2) -> AcousticFrameSequence:

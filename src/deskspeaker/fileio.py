@@ -8,7 +8,7 @@ seconds, followed by the payload row-major.
     VPS1  voice posteriors, L x 1 float32
     FWT1  frame weights,    L x 1 float32 (renormalized to sum 1 on read)
 
-Model files (GMM1, STA1, TVM1, PLD1, PRE1) store float64 tensors after a small
+Model files (GMM1, TVM1, PLD1, PRE1) store float64 tensors after a small
 dimension header; EMB1 stores a self-describing named-tensor table in float32.
 Vector sets travel as an AFS1 matrix (one vector per row) plus a text sidecar
 with one id per line.
@@ -17,7 +17,6 @@ with one id per line.
 from __future__ import annotations
 
 import struct
-import wave as _wave
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +24,6 @@ import numpy as np
 from .errors import EmptyInputError, FormatError
 
 _FRAME_HEADER = struct.Struct("<4sIIf")
-
-
-@dataclass
-class Waveform:
-    samples: np.ndarray  # float64, nominally in [-1, 1)
-    sample_rate: int
 
 
 @dataclass
@@ -118,31 +111,6 @@ def read_frame_weights(path) -> np.ndarray:
     return w / total
 
 
-def read_wav(path) -> Waveform:
-    """Read a 16-bit PCM mono WAV file; anything else is rejected."""
-    with _wave.open(str(path), "rb") as w:
-        if w.getnchannels() != 1:
-            raise FormatError(f"{path}: only mono WAV is supported")
-        if w.getsampwidth() != 2:
-            raise FormatError(f"{path}: only 16-bit PCM WAV is supported")
-        if w.getcomptype() != "NONE":
-            raise FormatError(f"{path}: compressed WAV is not supported")
-        n = w.getnframes()
-        raw = w.readframes(n)
-        rate = w.getframerate()
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples, rate)
-
-
-def write_wav(path, wav: Waveform):
-    pcm = np.clip(np.asarray(wav.samples) * 32768.0, -32768, 32767).astype("<i2")
-    with _wave.open(str(path), "wb") as w:
-        w.setnchannels(1)
-        w.setsampwidth(2)
-        w.setframerate(wav.sample_rate)
-        w.writeframes(pcm.tobytes())
-
-
 # ---------------------------------------------------------------------------
 # float64 model containers
 
@@ -191,23 +159,6 @@ def read_gmm(path):
         means = _read_f64(f, c * d, path).reshape(c, d)
         variances = _read_f64(f, c * d, path).reshape(c, d)
     return weights, means, variances
-
-
-def write_stats(path, n, first_order):
-    c, d = np.asarray(first_order).shape
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sII", b"STA1", c, d))
-        _write_f64(f, n)
-        _write_f64(f, first_order)
-
-
-def read_stats(path):
-    with open(path, "rb") as f:
-        _check_magic(f, b"STA1", path)
-        c, d = _unpack(f, "<II", path)
-        n = _read_f64(f, c, path)
-        first_order = _read_f64(f, c * d, path).reshape(c, d)
-    return n, first_order
 
 
 def write_tvm(path, mean, t_matrix, sigma):

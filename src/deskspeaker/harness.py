@@ -1,10 +1,16 @@
 """End-to-end desk experiment: corpus -> features -> models -> scores -> report.
 
-The pipeline is a fixed chain of stages, each writing its artifacts under one
-subdirectory of the output root and stamping them with a fingerprint of the
-configuration slice it depends on. Re-running skips stages whose stamp still
-matches; deleting a stage directory forces just that stage (and nothing
-upstream) to be rebuilt, reproducing identical bytes.
+The pipeline is one ordered table of stages (`PIPELINE`). Each stage writes
+its artifacts under one subdirectory of the output root and stamps them with a
+fingerprint of the configuration slice it reads and of its upstream stages'
+fingerprints. The runner applies one rule to every stage: a stage whose stamp
+matches is skipped as up to date (a fresh report is loaded, not recomputed);
+otherwise it runs only if every upstream stamp matches too, and raises
+StageDependencyError naming the missing or stale upstream stages if not. A
+stage's old stamp is removed before it runs and the new one written after it
+returns, so a stage that fails leaves no stamp. Deleting a stage directory
+forces just that stage (and nothing upstream) to be rebuilt, reproducing
+identical bytes.
 
 Systems compared (embedding route vs i-vector route, by pooling weights):
 
@@ -24,6 +30,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,21 +54,6 @@ from .ivector import (TotalVariabilityModel, accumulate_stats,
 from .metrics import TrialScoreSet, compute_eer, compute_min_cprimary
 from .synth import generate_corpus
 from .ubm import DiagGmm, gmm_posteriors, train_gmm
-
-STAGES = ("synth", "features", "train-embed", "train-ubm", "train-tvm",
-          "extract", "backend", "score", "report")
-
-_STAGE_DIRS = {
-    "synth": "corpus",
-    "features": "features",
-    "train-embed": "embed",
-    "train-ubm": "ubm",
-    "train-tvm": "tvm",
-    "extract": "vectors",
-    "backend": "backend",
-    "score": "scores",
-    "report": "report",
-}
 
 WEIGHT_SOURCE_SYSTEM = "S2"
 
@@ -170,39 +162,16 @@ def _fingerprint(payload) -> str:
 
 
 def _stage_fingerprints(cfg: PipelineConfig) -> dict:
-    nets = sorted(_nets_needed(cfg.systems))
-    local = {
-        "synth": {**dataclasses.asdict(cfg.synth), "seed": cfg.seed},
-        "features": dataclasses.asdict(cfg.features),
-        "train-embed": {**dataclasses.asdict(cfg.embednet),
-                        "nets": nets, "seed": cfg.seed},
-        "train-ubm": {**dataclasses.asdict(cfg.ubm), "seed": cfg.seed},
-        "train-tvm": {**dataclasses.asdict(cfg.tvm), "seed": cfg.seed},
-        "extract": {"systems": sorted(cfg.systems), "soft_vad": cfg.soft_vad},
-        "backend": {**dataclasses.asdict(cfg.backend), "seed": cfg.seed},
-        "score": {},
-        "report": {"p_targets": list(cfg.eval.p_targets)},
-    }
-    deps = {
-        "synth": (),
-        "features": ("synth",),
-        "train-embed": ("features",),
-        "train-ubm": ("features",),
-        "train-tvm": ("features", "train-ubm"),
-        "extract": ("features", "train-embed", "train-ubm", "train-tvm"),
-        "backend": ("extract",),
-        "score": ("extract", "backend"),
-        "report": ("score",),
-    }
     fps = {}
-    for stage in STAGES:
-        fps[stage] = _fingerprint({"config": local[stage],
-                                   "upstream": [fps[d] for d in deps[stage]]})
+    for stage in PIPELINE:
+        fps[stage.name] = _fingerprint(
+            {"config": stage.config_slice(cfg),
+             "upstream": [fps[d] for d in stage.deps]})
     return fps
 
 
 def _stage_dir(out, stage: str) -> Path:
-    return Path(out) / _STAGE_DIRS[stage]
+    return Path(out) / _BY_NAME[stage].dir
 
 
 def _stamp_path(out, stage: str) -> Path:
@@ -210,26 +179,16 @@ def _stamp_path(out, stage: str) -> Path:
 
 
 def _is_fresh(out, stage: str, fps: dict) -> bool:
-    stamp = _stamp_path(out, stage)
-    if not stamp.exists():
-        return False
     try:
-        recorded = json.loads(stamp.read_text())
-    except (ValueError, OSError):
+        recorded = json.loads(_stamp_path(out, stage).read_text())
+        return recorded.get("fingerprint") == fps[stage]
+    except (OSError, ValueError, AttributeError):
         return False
-    return recorded.get("fingerprint") == fps[stage]
 
 
 def _write_stamp(out, stage: str, fps: dict):
     _stamp_path(out, stage).write_text(
         json.dumps({"stage": stage, "fingerprint": fps[stage]}) + "\n")
-
-
-def _require_stage(out, stage: str, needed: str):
-    if not _stamp_path(out, needed).exists():
-        raise StageDependencyError(
-            f"stage '{stage}' needs outputs of stage '{needed}' under "
-            f"{_stage_dir(out, needed)}; run that stage first")
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +216,11 @@ def _read_manifest(path):
 # the stages
 
 def _stage_synth(cfg: PipelineConfig, out: Path, echo):
+    """Generate the synthetic corpus."""
     synth_cfg = dataclasses.replace(cfg.synth, seed=cfg.seed)
     corpus = generate_corpus(synth_cfg)
     d = _stage_dir(out, "synth")
-    (d / "feats").mkdir(parents=True, exist_ok=True)
+    (d / "feats").mkdir(exist_ok=True)
     (d / "voice").mkdir(exist_ok=True)
     for i, utt in enumerate(corpus.utt_ids):
         fileio.write_features(d / "feats" / f"{utt}.afs", corpus.features[i])
@@ -276,12 +236,12 @@ def _stage_synth(cfg: PipelineConfig, out: Path, echo):
 
 
 def _stage_features(cfg: PipelineConfig, out: Path, echo):
-    _require_stage(out, "features", "synth")
+    """Apply front-end processing and voice posteriors."""
     fcfg = cfg.features
     src = _stage_dir(out, "synth")
     d = _stage_dir(out, "features")
     for sub in ("feats", "q", "voice"):
-        (d / sub).mkdir(parents=True, exist_ok=True)
+        (d / sub).mkdir(exist_ok=True)
     soft_cfg = SoftVadConfig(slope=fcfg.soft_vad_slope,
                              offset=fcfg.soft_vad_offset,
                              smooth_radius=fcfg.soft_vad_smooth_radius)
@@ -324,20 +284,22 @@ def _read_processed(out, utt: str) -> AcousticFrameSequence:
         _stage_dir(out, "features") / "feats" / f"{utt}.afs")
 
 
-def _train_rows(out, stage: str):
-    _require_stage(out, stage, "features")
-    rows = _read_manifest(_stage_dir(out, "features") / "manifest.tsv")
-    return rows, [r for r in rows if r[2] == "train"]
+def _rows(out):
+    return _read_manifest(_stage_dir(out, "features") / "manifest.tsv")
+
+
+def _train_rows(out):
+    return [r for r in _rows(out) if r[2] == "train"]
 
 
 def _stage_train_embed(cfg: PipelineConfig, out: Path, echo):
-    _, train = _train_rows(out, "train-embed")
+    """Train the embedding network(s)."""
+    train = _train_rows(out)
     utts = [_read_processed(out, utt).frames for utt, _, _ in train]
     speakers = sorted({spk for _, spk, _ in train})
     label_of = {spk: i for i, spk in enumerate(speakers)}
     labels = [label_of[spk] for _, spk, _ in train]
     d = _stage_dir(out, "train-embed")
-    d.mkdir(parents=True, exist_ok=True)
     ecfg = cfg.embednet
     # One training seed for both kinds, whichever systems are selected: the
     # plain and attentive nets then differ only by the attention head.
@@ -361,14 +323,12 @@ def _stage_train_embed(cfg: PipelineConfig, out: Path, echo):
 
 
 def _stage_train_ubm(cfg: PipelineConfig, out: Path, echo):
-    _, train = _train_rows(out, "train-ubm")
+    """Train the background mixture model."""
     frames = np.vstack([_read_processed(out, utt).frames
-                        for utt, _, _ in train])
+                        for utt, _, _ in _train_rows(out)])
     gmm = train_gmm(frames, cfg.ubm.n_components, cfg.ubm.n_iters,
                     seed=cfg.seed + 13)
-    d = _stage_dir(out, "train-ubm")
-    d.mkdir(parents=True, exist_ok=True)
-    gmm.save(d / "ubm.gmm1")
+    gmm.save(_stage_dir(out, "train-ubm") / "ubm.gmm1")
     if echo:
         echo(f"  {cfg.ubm.n_components} components on {frames.shape[0]} "
              f"frames, final loglik/frame "
@@ -376,38 +336,30 @@ def _stage_train_ubm(cfg: PipelineConfig, out: Path, echo):
 
 
 def _stage_train_tvm(cfg: PipelineConfig, out: Path, echo):
-    _, train = _train_rows(out, "train-tvm")
-    _require_stage(out, "train-tvm", "train-ubm")
+    """Train the total-variability subspace."""
     gmm = DiagGmm.load(_stage_dir(out, "train-ubm") / "ubm.gmm1")
     stats_list = [accumulate_stats(_read_processed(out, utt).frames, gmm)
-                  for utt, _, _ in train]
+                  for utt, _, _ in _train_rows(out)]
     tvm = train_tvm(stats_list, gmm, cfg.tvm.rank, cfg.tvm.n_iters,
                     seed=cfg.seed + 14)
-    d = _stage_dir(out, "train-tvm")
-    d.mkdir(parents=True, exist_ok=True)
-    tvm.save(d / "tvm.tvm1")
+    tvm.save(_stage_dir(out, "train-tvm") / "tvm.tvm1")
     if echo:
         echo(f"  rank {cfg.tvm.rank}, objective "
              f"{tvm.em_objective[0]:.3f} -> {tvm.em_objective[-1]:.3f}")
 
 
 def _stage_extract(cfg: PipelineConfig, out: Path, echo):
-    rows, _ = _train_rows(out, "extract")
-    nets = {}
-    for kind in _nets_needed(cfg.systems):
-        _require_stage(out, "extract", "train-embed")
-        nets[kind] = load_embed_net(
-            _stage_dir(out, "train-embed") / f"{kind}.emb1")
+    """Extract vectors for every system variant."""
+    rows = _rows(out)
+    nets = {kind: load_embed_net(_stage_dir(out, "train-embed") / f"{kind}.emb1")
+            for kind in _nets_needed(cfg.systems)}
     gmm = tvm = None
     if _ivector_needed(cfg.systems):
-        _require_stage(out, "extract", "train-ubm")
-        _require_stage(out, "extract", "train-tvm")
         gmm = DiagGmm.load(_stage_dir(out, "train-ubm") / "ubm.gmm1")
         tvm = TotalVariabilityModel.load(
             _stage_dir(out, "train-tvm") / "tvm.tvm1")
 
     d = _stage_dir(out, "extract")
-    d.mkdir(parents=True, exist_ok=True)
     weights_dir = out / "weights"
     export_weights = "att" in nets
     if export_weights:
@@ -482,11 +434,9 @@ def _variant_names(cfg: PipelineConfig):
 
 
 def _stage_backend(cfg: PipelineConfig, out: Path, echo):
-    _require_stage(out, "backend", "extract")
-    rows = _read_manifest(_stage_dir(out, "features") / "manifest.tsv")
-    spk_of = {utt: spk for utt, spk, _ in rows}
+    """Fit the preprocessor and scoring backend per variant."""
+    spk_of = {utt: spk for utt, spk, _ in _rows(out)}
     d = _stage_dir(out, "backend")
-    d.mkdir(parents=True, exist_ok=True)
     for variant in _variant_names(cfg):
         system = variant.split("-")[0]
         ids, vecs = fileio.read_vector_set(
@@ -512,12 +462,9 @@ def _build_trials(rows):
 
 
 def _stage_score(cfg: PipelineConfig, out: Path, echo):
-    _require_stage(out, "score", "extract")
-    _require_stage(out, "score", "backend")
-    rows = _read_manifest(_stage_dir(out, "features") / "manifest.tsv")
-    trials = _build_trials(rows)
+    """Score all enroll/test trials."""
+    trials = _build_trials(_rows(out))
     d = _stage_dir(out, "score")
-    d.mkdir(parents=True, exist_ok=True)
     fileio.write_trial_list(d / "trials.txt", trials)
     for variant in _variant_names(cfg):
         vdir = _stage_dir(out, "extract") / variant
@@ -563,10 +510,9 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _stage_report(cfg: PipelineConfig, out: Path, echo) -> Report:
-    _require_stage(out, "report", "score")
+def _stage_report(cfg: PipelineConfig, out: Path, echo):
+    """Compute the error metrics and write the report."""
     d = _stage_dir(out, "report")
-    d.mkdir(parents=True, exist_ok=True)
     sdir = _stage_dir(out, "score")
     trials = fileio.read_trial_list(sdir / "trials.txt")
     truth = {(e, t): is_target for e, t, is_target in trials}
@@ -588,70 +534,122 @@ def _stage_report(cfg: PipelineConfig, out: Path, echo) -> Report:
             key = f"{r.system}.{'vad' if r.soft_vad else 'novad'}"
             f.write(f"{key}.eer={r.eer:.10f}\n")
             f.write(f"{key}.min_cprimary={r.min_cprimary:.10f}\n")
-    if echo:
-        for line in report.to_text().rstrip().split("\n"):
-            echo(f"  {line}")
-    return report
 
 
 def load_report(out) -> Report:
-    """Rebuild a Report from the key-value file a report stage wrote."""
+    """Rebuild a Report from the key-value file a report stage wrote.
+
+    Raises FormatError on a malformed line, an empty file, or a variant
+    missing one of its two metrics.
+    """
     path = _stage_dir(out, "report") / "report.kv"
     table = {}
     with open(path) as f:
         for line in f:
-            key, val = line.strip().split("=")
-            system, vad, metric = key.split(".")
-            table.setdefault((system, vad == "vad"), {})[metric] = float(val)
-    results = [SystemResult(system, vad, m["eer"], m["min_cprimary"])
-               for (system, vad), m in table.items()]
-    return Report(results)
+            try:
+                key, val = line.strip().split("=")
+                system, vad, metric = key.split(".")
+                if vad not in ("vad", "novad") \
+                        or metric not in ("eer", "min_cprimary"):
+                    raise ValueError
+                table.setdefault((system, vad == "vad"), {})[metric] = float(val)
+            except ValueError:
+                raise FormatError(f"{path}: bad line {line!r}") from None
+    incomplete = [variant_name(*k) for k, m in table.items() if len(m) != 2]
+    if incomplete or not table:
+        raise FormatError(f"{path}: incomplete report "
+                          f"(missing metrics for {incomplete or 'every variant'})")
+    return Report([SystemResult(system, vad, m["eer"], m["min_cprimary"])
+                   for (system, vad), m in table.items()])
 
 
-_STAGE_FUNCS = {
-    "synth": _stage_synth,
-    "features": _stage_features,
-    "train-embed": _stage_train_embed,
-    "train-ubm": _stage_train_ubm,
-    "train-tvm": _stage_train_tvm,
-    "extract": _stage_extract,
-    "backend": _stage_backend,
-    "score": _stage_score,
-    "report": _stage_report,
-}
+# ---------------------------------------------------------------------------
+# the stage table and its runner
+
+def _seeded(part, seed: int) -> dict:
+    return {**dataclasses.asdict(part), "seed": seed}
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage. Its fingerprint hashes `config_slice(cfg)` and the
+    fingerprints of `deps`, in that order; `run(cfg, out, echo)` writes under
+    `out / dir` and reads only what `deps` and their own upstream stages
+    wrote. The CLI's help text for the stage is the first line of `run`'s
+    docstring."""
+
+    name: str
+    dir: str
+    deps: tuple[str, ...]
+    config_slice: Callable[[PipelineConfig], dict]
+    run: Callable
+
+
+PIPELINE = (
+    Stage("synth", "corpus", (),
+          lambda cfg: _seeded(cfg.synth, cfg.seed), _stage_synth),
+    Stage("features", "features", ("synth",),
+          lambda cfg: dataclasses.asdict(cfg.features), _stage_features),
+    Stage("train-embed", "embed", ("features",),
+          lambda cfg: {**_seeded(cfg.embednet, cfg.seed),
+                       "nets": sorted(_nets_needed(cfg.systems))},
+          _stage_train_embed),
+    Stage("train-ubm", "ubm", ("features",),
+          lambda cfg: _seeded(cfg.ubm, cfg.seed), _stage_train_ubm),
+    Stage("train-tvm", "tvm", ("features", "train-ubm"),
+          lambda cfg: _seeded(cfg.tvm, cfg.seed), _stage_train_tvm),
+    Stage("extract", "vectors",
+          ("features", "train-embed", "train-ubm", "train-tvm"),
+          lambda cfg: {"systems": sorted(cfg.systems),
+                       "soft_vad": cfg.soft_vad}, _stage_extract),
+    Stage("backend", "backend", ("extract",),
+          lambda cfg: _seeded(cfg.backend, cfg.seed), _stage_backend),
+    Stage("score", "scores", ("extract", "backend"),
+          lambda cfg: {}, _stage_score),
+    Stage("report", "report", ("score",),
+          lambda cfg: {"p_targets": list(cfg.eval.p_targets)}, _stage_report),
+)
+
+STAGES = tuple(stage.name for stage in PIPELINE)
+_BY_NAME = {stage.name: stage for stage in PIPELINE}
 
 
 def run_pipeline(cfg: PipelineConfig, stages=None, echo=None) -> Report | None:
-    """Run the requested stages (default: all) and return the final Report.
+    """Run the requested stages (default: all) in table order.
 
-    Stages whose fingerprint stamp already matches the configuration are
-    skipped. Returns None when the report stage was not among the selected
-    stages.
+    A stage whose stamp matches its fingerprint is skipped. Any other stage
+    runs only if every upstream stamp matches its current fingerprint, and
+    raises StageDependencyError naming the missing or stale ones otherwise.
+    Returns the report read back from the run directory when the report
+    stage was selected, else None.
     """
     if stages is None:
-        selected = list(STAGES)
+        selected = PIPELINE
     else:
         unknown = [s for s in stages if s not in STAGES]
         if unknown:
             raise ValueError(f"unknown stages {unknown}; choose from {STAGES}")
-        selected = [s for s in STAGES if s in set(stages)]
+        selected = [stage for stage in PIPELINE if stage.name in set(stages)]
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.yaml")
     fps = _stage_fingerprints(cfg)
-    report = None
+    say = echo or (lambda line: None)
     for stage in selected:
-        if _is_fresh(out, stage, fps) and stage != "report":
-            if echo:
-                echo(f"[{stage}] up to date")
+        if _is_fresh(out, stage.name, fps):
+            say(f"[{stage.name}] up to date")
             continue
-        if echo:
-            echo(f"[{stage}]")
+        unmet = [f"'{d}' ({'stale' if _stamp_path(out, d).exists() else 'missing'})"
+                 for d in stage.deps if not _is_fresh(out, d, fps)]
+        if unmet:
+            raise StageDependencyError(
+                f"stage '{stage.name}' needs up-to-date upstream stages under "
+                f"{out}: {', '.join(unmet)}; run them first")
+        say(f"[{stage.name}]")
         t0 = time.monotonic()
-        result = _STAGE_FUNCS[stage](cfg, out, echo)
-        _write_stamp(out, stage, fps)
-        if echo:
-            echo(f"[{stage}] done in {time.monotonic() - t0:.1f}s")
-        if stage == "report":
-            report = result
-    return report
+        _stamp_path(out, stage.name).unlink(missing_ok=True)
+        _stage_dir(out, stage.name).mkdir(exist_ok=True)
+        stage.run(cfg, out, echo)
+        _write_stamp(out, stage.name, fps)
+        say(f"[{stage.name}] done in {time.monotonic() - t0:.1f}s")
+    return load_report(out) if PIPELINE[-1] in selected else None

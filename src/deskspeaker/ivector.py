@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DegenerateWeightsError, NumericsError
-from .fileio import read_stats, read_tvm, write_stats, write_tvm
+from .fileio import read_tvm, write_tvm
 from .ubm import DiagGmm, gmm_posteriors
 
 _WEIGHT_SUM_TOL = 1e-6
@@ -35,13 +35,6 @@ class SufficientStats:
 
     n: np.ndarray            # (C,)
     first: np.ndarray        # (C, D)
-
-    def save(self, path):
-        write_stats(path, self.n, self.first)
-
-    @classmethod
-    def load(cls, path) -> "SufficientStats":
-        return cls(*read_stats(path))
 
 
 @dataclass

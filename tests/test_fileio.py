@@ -1,14 +1,13 @@
 """Round-trip and validation tests for the binary/text artifact formats."""
 
 import struct
-import wave
 
 import numpy as np
 import pytest
 
 from deskspeaker import fileio
 from deskspeaker.errors import EmptyInputError, FormatError
-from deskspeaker.fileio import AcousticFrameSequence, Waveform
+from deskspeaker.fileio import AcousticFrameSequence
 
 
 def _seq(rng, n=7, d=3, period=0.01):
@@ -83,37 +82,6 @@ class TestPosteriorsAndWeights:
                                        np.array([0.5, -0.1, 0.6]), 0.01)
 
 
-class TestWav:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        samples = np.clip(rng.standard_normal(800) * 0.25, -0.999, 0.999)
-        path = tmp_path / "a.wav"
-        fileio.write_wav(path, Waveform(samples, 8000))
-        back = fileio.read_wav(path)
-        assert back.sample_rate == 8000
-        np.testing.assert_allclose(back.samples, samples, atol=1.0 / 32767)
-
-    def test_rejects_stereo(self, tmp_path):
-        path = tmp_path / "st.wav"
-        with wave.open(str(path), "wb") as w:
-            w.setnchannels(2)
-            w.setsampwidth(2)
-            w.setframerate(8000)
-            w.writeframes(b"\x00\x00" * 40)
-        with pytest.raises(FormatError):
-            fileio.read_wav(path)
-
-    def test_rejects_8bit(self, tmp_path):
-        path = tmp_path / "u8.wav"
-        with wave.open(str(path), "wb") as w:
-            w.setnchannels(1)
-            w.setsampwidth(1)
-            w.setframerate(8000)
-            w.writeframes(b"\x80" * 20)
-        with pytest.raises(FormatError):
-            fileio.read_wav(path)
-
-
 class TestModelFiles:
     def test_gmm_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -126,16 +94,6 @@ class TestModelFiles:
         np.testing.assert_array_equal(w, weights)
         np.testing.assert_array_equal(m, means)
         np.testing.assert_array_equal(v, variances)
-
-    def test_stats_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(5)
-        n = rng.random(4) * 10
-        first = rng.standard_normal((4, 3))
-        path = tmp_path / "u.sta"
-        fileio.write_stats(path, n, first)
-        n2, f2 = fileio.read_stats(path)
-        np.testing.assert_array_equal(n2, n)
-        np.testing.assert_array_equal(f2, first)
 
     def test_tvm_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -210,8 +168,6 @@ def _model_files():
     yield ("GMM1", lambda p: fileio.write_gmm(
         p, rng.dirichlet(np.ones(3)), rng.standard_normal((3, 2)),
         rng.random((3, 2)) + 0.1), fileio.read_gmm)
-    yield ("STA1", lambda p: fileio.write_stats(
-        p, rng.random(3), rng.standard_normal((3, 2))), fileio.read_stats)
     yield ("TVM1", lambda p: fileio.write_tvm(
         p, rng.standard_normal(4), rng.standard_normal((4, 2)),
         rng.random(4) + 0.1), fileio.read_tvm)

@@ -4,6 +4,9 @@ The end-to-end tests run a deliberately tiny corpus (6 speakers, 60-frame
 utterances, 2 training epochs) so the whole pipeline finishes in seconds.
 """
 
+import argparse
+import dataclasses
+import functools
 import shutil
 from collections import Counter
 
@@ -11,15 +14,15 @@ import numpy as np
 import pytest
 
 from deskspeaker import fileio, harness, ivector
-from deskspeaker.cli import main
+from deskspeaker.cli import build_parser, main
 from deskspeaker.config import (config_to_dict, copy_config, default_config,
                                 load_config)
 from deskspeaker.embednet import (EmbedNetConfig, combine_weights,
                                   export_attention_weights, extract_embedding,
                                   init_embed_net, load_embed_net, network)
-from deskspeaker.errors import (DegenerateWeightsError, MissingAttentionError,
-                                StageDependencyError)
-from deskspeaker.harness import (SYSTEMS, Report, SystemResult,
+from deskspeaker.errors import (DegenerateWeightsError, FormatError,
+                                MissingAttentionError, StageDependencyError)
+from deskspeaker.harness import (STAGES, SYSTEMS, Report, SystemResult,
                                  cross_apply_weights, expand_frame_weights,
                                  load_report, run_pipeline, variant_name)
 from deskspeaker.ivector import (TotalVariabilityModel, accumulate_stats,
@@ -170,6 +173,16 @@ def test_pipeline_writes_expected_artifacts(tiny_run):
     assert (out / "report" / "report.txt").exists()
 
 
+def _clone(tiny_run, tmp_path):
+    """A copy of the tiny run directory and a config pointing at it."""
+    cfg, out, _ = tiny_run
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    cfg2 = copy_config(cfg)
+    cfg2.out = str(clone)
+    return cfg2, clone
+
+
 def _utt_ids(out):
     with open(out / "corpus" / "manifest.tsv") as f:
         return [line.split()[0] for line in f]
@@ -233,12 +246,9 @@ def test_extract_equals_per_variant_recomputation(tiny_run):
 
 
 def test_extract_runs_each_shared_pass_once(tiny_run, tmp_path, monkeypatch):
-    cfg, out, _ = tiny_run
-    clone = tmp_path / "clone"
-    shutil.copytree(out, clone)
+    _, out, _ = tiny_run
+    cfg2, clone = _clone(tiny_run, tmp_path)
     (clone / "vectors" / ".stamp.json").unlink()
-    cfg2 = copy_config(cfg)
-    cfg2.out = str(clone)
     forwards, posteriors = Counter(), Counter()
     tdnn_forward, gmm_posteriors = harness.tdnn_forward, harness.gmm_posteriors
 
@@ -302,10 +312,8 @@ def test_rerun_skips_fresh_stages(tiny_run):
     cfg, _, report = tiny_run
     lines = []
     again = run_pipeline(cfg, echo=lines.append)
-    for stage in ("synth", "features", "train-embed", "train-ubm",
-                  "train-tvm", "extract", "backend", "score"):
+    for stage in STAGES:
         assert f"[{stage}] up to date" in lines
-    assert "[report]" in lines  # metrics are cheap and always refreshed
     for r in report.results:
         back = again.get(r.system, r.soft_vad)
         assert back.eer == r.eer
@@ -328,17 +336,136 @@ def test_deleted_stage_rebuilds_bit_identical(tiny_run):
 
 
 def test_config_change_invalidates_downstream_only(tiny_run, tmp_path):
-    cfg, out, _ = tiny_run
-    clone = tmp_path / "clone"
-    shutil.copytree(out, clone)
-    cfg2 = copy_config(cfg)
-    cfg2.out = str(clone)
+    cfg2, _ = _clone(tiny_run, tmp_path)
     cfg2.backend.n_iters += 1
     lines = []
     run_pipeline(cfg2, echo=lines.append)
     assert "[extract] up to date" in lines
     assert "[backend]" in lines and "[backend] up to date" not in lines
     assert "[score]" in lines and "[score] up to date" not in lines
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_selected_stage_refuses_stale_upstream(tiny_run, tmp_path):
+    cfg, clone = _clone(tiny_run, tmp_path)
+    cfg.embednet.epochs += 1
+    with pytest.raises(StageDependencyError, match=r"'train-embed' \(stale\)"):
+        run_pipeline(cfg, stages=["extract"])
+    lines = []
+    run_pipeline(cfg, echo=lines.append)
+    assert "[train-embed]" in lines
+    assert "[extract]" in lines and "[extract] up to date" not in lines
+    fresh = copy_config(cfg)
+    fresh.out = str(tmp_path / "fresh")
+    run_pipeline(fresh)
+    assert _tree_bytes(clone / "vectors") \
+        == _tree_bytes(tmp_path / "fresh" / "vectors")
+
+
+def test_report_refuses_stale_scores(tiny_run, tmp_path):
+    cfg, _ = _clone(tiny_run, tmp_path)
+    cfg.backend.n_iters += 1
+    with pytest.raises(StageDependencyError, match=r"'score' \(stale\)"):
+        run_pipeline(cfg, stages=["report"])
+
+
+def test_failed_stage_leaves_no_stamp(tiny_run, tmp_path, monkeypatch):
+    # Under another config the score stage writes one score file, then
+    # fails. Back under the first config, whose stamp that stage had left,
+    # it must run again rather than pass the mixed files as up to date.
+    cfg, clone = _clone(tiny_run, tmp_path)
+    before = _tree_bytes(clone / "scores")
+    other = copy_config(cfg)
+    other.backend.n_iters += 1
+    write_scores = fileio.write_scores
+
+    def write_then_fail(path, scored):
+        write_scores(path, scored)
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio, "write_scores", write_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_pipeline(other)
+    lines = []
+    run_pipeline(cfg, echo=lines.append)
+    assert "[score]" in lines and "[score] up to date" not in lines
+    assert _tree_bytes(clone / "scores") == before
+
+
+def _config_leaves(obj, prefix=""):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _config_leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}"
+
+
+def _perturbed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, tuple):
+        return value[:-1]
+    return f"{value}-changed"  # strings and None
+
+
+# Fields no stamp may depend on: `out` says where a run lives, not what it
+# computes, and the synth stage replaces `synth.seed` with the master seed.
+_UNHASHED = {"out", "synth.seed"}
+
+
+def test_every_config_field_is_fingerprinted():
+    base = default_config()
+    fps = harness._stage_fingerprints(base)
+    leaves = list(_config_leaves(base))
+    assert _UNHASHED <= set(leaves)
+    for path in leaves:
+        cfg = copy_config(base)
+        *parents, name = path.split(".")
+        holder = functools.reduce(getattr, parents, cfg)
+        setattr(holder, name, _perturbed(getattr(holder, name)))
+        changed = harness._stage_fingerprints(cfg) != fps
+        assert changed == (path not in _UNHASHED), path
+
+
+def test_default_fingerprints_are_pinned():
+    # Run directories stamped by earlier versions stay valid only while the
+    # fingerprint payload is unchanged.
+    assert harness._stage_fingerprints(default_config()) == {
+        "synth": "ca92051a08d9cb62",
+        "features": "2855bb8d678523ce",
+        "train-embed": "a7315c454efc70ff",
+        "train-ubm": "6474f20ed0282d80",
+        "train-tvm": "60030a5b675a3e70",
+        "extract": "b0528ca224d6339c",
+        "backend": "52cef1464400b9e3",
+        "score": "1463debf44180a54",
+        "report": "0bf4ecfae6d6bd37",
+    }
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "S1.novad.eer=0.25\n",
+    "S1.novad.eer=0.25\nS1.novad.min_cpr",
+    "S1.novad.eer=0.25\nS1.novad.min_cprimary=\n",
+    "S1.novad.eer=0.25\nS1.novad.min_cprimary=0.5=1\n",
+    "S1.maybe.eer=0.25\nS1.maybe.min_cprimary=0.5\n",
+    "S1.novad.eer=0.25\nS1.novad.dcf=0.5\n",
+], ids=["empty", "missing-metric", "cut-key", "cut-value", "two-equals",
+        "bad-vad", "bad-metric"])
+def test_load_report_rejects_malformed_file(tmp_path, text):
+    (tmp_path / "report").mkdir()
+    (tmp_path / "report" / "report.kv").write_text(text)
+    with pytest.raises(FormatError, match="report.kv"):
+        load_report(tmp_path)
 
 
 def test_stage_subset_returns_none(tiny_run):
@@ -394,6 +521,29 @@ def test_cli_runs_fresh_pipeline_and_reports(tiny_run, capsys):
     assert code == 0
     assert "up to date" in captured.out
     assert "min_cprimary" in captured.out
+
+
+def test_cli_rejects_truncated_fresh_report(tiny_run, tmp_path, capsys):
+    _, clone = _clone(tiny_run, tmp_path)
+    kv = clone / "report" / "report.kv"
+    text = kv.read_text()
+    kv.write_text(text[:text.rindex("min_cprimary")])  # cut inside a key
+    code = main(["report", "--config", str(clone / "config.yaml"),
+                 "--out", str(clone)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "[report] up to date" in captured.out
+    assert captured.err.startswith("deskspeaker: ")
+    assert "report.kv" in captured.err
+
+
+def test_cli_offers_every_stage_with_help():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == STAGES + ("run-all",)
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert set(helps) == set(sub.choices)
+    assert all(helps.values())
 
 
 def test_cli_propagates_stage_errors(tmp_path, capsys):

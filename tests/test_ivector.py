@@ -218,12 +218,3 @@ class TestTvmTraining:
         np.testing.assert_array_equal(loaded.mean, tvm.mean)
         np.testing.assert_array_equal(loaded.t_matrix, tvm.t_matrix)
         np.testing.assert_array_equal(loaded.sigma, tvm.sigma)
-
-    def test_stats_save_load_round_trip(self, tmp_path):
-        rng = np.random.default_rng(95)
-        gmm = _random_gmm(rng)
-        stats = accumulate_stats(rng.standard_normal((12, 3)), gmm)
-        stats.save(tmp_path / "u.sta1")
-        loaded = SufficientStats.load(tmp_path / "u.sta1")
-        np.testing.assert_array_equal(loaded.n, stats.n)
-        np.testing.assert_array_equal(loaded.first, stats.first)
