@@ -536,11 +536,12 @@ def _stage_report(cfg: PipelineConfig, out: Path, echo):
             f.write(f"{key}.min_cprimary={r.min_cprimary:.10f}\n")
 
 
-def load_report(out) -> Report:
+def load_report(out, variants=None) -> Report:
     """Rebuild a Report from the key-value file a report stage wrote.
 
-    Raises FormatError on a malformed line, an empty file, or a variant
-    missing one of its two metrics.
+    Raises FormatError on a malformed line, an empty file, a variant missing
+    one of its two metrics, or a variant missing from or extra to the given
+    expected ``variants``, (system, soft_vad) pairs.
     """
     path = _stage_dir(out, "report") / "report.kv"
     table = {}
@@ -559,6 +560,10 @@ def load_report(out) -> Report:
     if incomplete or not table:
         raise FormatError(f"{path}: incomplete report "
                           f"(missing metrics for {incomplete or 'every variant'})")
+    mismatch = set(table) ^ set(table if variants is None else variants)
+    if mismatch:
+        raise FormatError(f"{path}: variants missing or not configured: "
+                          f"{sorted(variant_name(*k) for k in mismatch)}")
     return Report([SystemResult(system, vad, m["eer"], m["min_cprimary"])
                    for (system, vad), m in table.items()])
 
@@ -652,4 +657,5 @@ def run_pipeline(cfg: PipelineConfig, stages=None, echo=None) -> Report | None:
         stage.run(cfg, out, echo)
         _write_stamp(out, stage.name, fps)
         say(f"[{stage.name}] done in {time.monotonic() - t0:.1f}s")
-    return load_report(out) if PIPELINE[-1] in selected else None
+    variants = [(s, v) for s in cfg.systems for v in cfg.vad_variants]
+    return load_report(out, variants) if PIPELINE[-1] in selected else None

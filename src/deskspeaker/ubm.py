@@ -3,7 +3,8 @@
 Initialization is k-means++ followed by a few Lloyd iterations; EM then runs
 with per-dimension variance flooring at a small fraction of the global data
 variance. The per-iteration total log-likelihood is recorded on the returned
-model so monotonicity is checkable.
+model so monotonicity is checkable. Every training pass runs over fixed blocks
+of BLOCK_FRAMES frames in order, so no (frames x components) array is built.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import EmptyInputError
 from .fileio import read_gmm, write_gmm
 
 VAR_FLOOR_FRAC = 1e-6
+BLOCK_FRAMES = 4096
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
@@ -43,16 +45,15 @@ class DiagGmm:
         return cls(*read_gmm(path))
 
 
-def _log_densities(frames: np.ndarray, gmm: DiagGmm) -> np.ndarray:
-    """Per-frame, per-component log N(x; mu_c, diag(var_c)). Shape (N, C)."""
+def _log_joint(frames: np.ndarray, gmm: DiagGmm, squares=None) -> np.ndarray:
+    """Per-frame, per-component log w_c N(x; mu_c, diag(var_c)). Shape (N, C).
+    ``squares`` is ``frames ** 2`` when the caller already has it."""
     inv = 1.0 / gmm.variances
     const = -0.5 * (gmm.dim * _LOG_2PI + np.log(gmm.variances).sum(axis=1)
                     + (gmm.means ** 2 * inv).sum(axis=1))
-    return (frames ** 2) @ (-0.5 * inv).T + frames @ (gmm.means * inv).T + const
-
-
-def _log_joint(frames: np.ndarray, gmm: DiagGmm) -> np.ndarray:
-    return _log_densities(frames, gmm) + np.log(gmm.weights)
+    squares = frames ** 2 if squares is None else squares
+    return (squares @ (-0.5 * inv).T + frames @ (gmm.means * inv).T + const
+            + np.log(gmm.weights))
 
 
 def gmm_posteriors(frames: np.ndarray, gmm: DiagGmm) -> np.ndarray:
@@ -70,14 +71,28 @@ def gmm_loglik(frames: np.ndarray, gmm: DiagGmm) -> float:
     return float(logsumexp(_log_joint(frames, gmm), axis=1).sum())
 
 
+def _blocks(n: int) -> list[slice]:
+    return [slice(i, min(i + BLOCK_FRAMES, n)) for i in range(0, n, BLOCK_FRAMES)]
+
+
+def _nearest(frames: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each frame's nearest center, the first one on ties."""
+    assign = np.empty(frames.shape[0], dtype=np.intp)
+    for s in _blocks(frames.shape[0]):
+        assign[s] = np.stack([((frames[s] - c) ** 2).sum(axis=1) for c in centers],
+                             axis=1).argmin(axis=1)
+    return assign
+
+
 def _kmeans_pp(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = frames.shape[0]
     centers = [frames[rng.integers(n)]]
-    d2 = ((frames - centers[0]) ** 2).sum(axis=1)
+    d2 = np.full(n, np.inf)
     for _ in range(1, k):
+        for s in _blocks(n):
+            np.minimum(d2[s], ((frames[s] - centers[-1]) ** 2).sum(axis=1), out=d2[s])
         probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
         centers.append(frames[rng.choice(n, p=probs)])
-        d2 = np.minimum(d2, ((frames - centers[-1]) ** 2).sum(axis=1))
     return np.array(centers)
 
 
@@ -91,19 +106,12 @@ def train_gmm(frames: np.ndarray, n_components: int, n_iters: int = 20,
             f"need at least {n_components} frames, got {frames.shape}")
     rng = np.random.default_rng(seed)
     n, dim = frames.shape
-    floor = VAR_FLOOR_FRAC * frames.var(axis=0)
-    floor = np.maximum(floor, 1e-12)
+    global_var = frames.var(axis=0)
+    floor = np.maximum(VAR_FLOOR_FRAC * global_var, 1e-12)
 
     centers = _kmeans_pp(frames, n_components, rng)
     for _ in range(lloyd_iters):
-        d2 = ((frames[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2) \
-            if n * n_components * dim <= 2e7 else None
-        if d2 is None:
-            # blockwise distance computation for large inputs
-            d2 = np.empty((n, n_components))
-            for c in range(n_components):
-                d2[:, c] = ((frames - centers[c]) ** 2).sum(axis=1)
-        assign = d2.argmin(axis=1)
+        assign = _nearest(frames, centers)
         for c in range(n_components):
             sel = assign == c
             if sel.any():
@@ -112,25 +120,31 @@ def train_gmm(frames: np.ndarray, n_components: int, n_iters: int = 20,
     weights = np.zeros(n_components)
     means = centers.copy()
     variances = np.empty((n_components, dim))
-    assign = np.array([((frames - m) ** 2).sum(axis=1) for m in centers]).argmin(axis=0)
+    assign = _nearest(frames, centers)
     for c in range(n_components):
         sel = assign == c
         weights[c] = max(sel.sum(), 1.0)
-        variances[c] = np.maximum(frames[sel].var(axis=0), floor) if sel.any() \
-            else np.maximum(frames.var(axis=0), floor)
+        variances[c] = np.maximum(frames[sel].var(axis=0) if sel.any()
+                                  else global_var, floor)
     weights /= weights.sum()
     gmm = DiagGmm(weights, means, variances)
 
     history = []
     for _ in range(n_iters):
-        lj = _log_joint(frames, gmm)
-        per_frame = logsumexp(lj, axis=1)
-        history.append(float(per_frame.sum()))
-        post = np.exp(lj - per_frame[:, None])
-        counts = post.sum(axis=0)
+        loglik, counts = 0.0, np.zeros(n_components)
+        first, second = np.zeros((2, n_components, dim))
+        for s in _blocks(n):  # E-step sums, in a fixed block order
+            block = frames[s]
+            squares = block ** 2
+            lj = _log_joint(block, gmm, squares)
+            per_frame = logsumexp(lj, axis=1)
+            loglik += per_frame.sum()
+            post = np.exp(lj - per_frame[:, None])
+            counts += post.sum(axis=0)
+            first += post.T @ block
+            second += post.T @ squares
+        history.append(float(loglik))
         occupied = counts > 1e-10
-        first = post.T @ frames
-        second = post.T @ (frames ** 2)
         new_means = gmm.means.copy()
         new_vars = gmm.variances.copy()
         new_means[occupied] = first[occupied] / counts[occupied, None]

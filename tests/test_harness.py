@@ -537,6 +537,34 @@ def test_cli_rejects_truncated_fresh_report(tiny_run, tmp_path, capsys):
     assert "report.kv" in captured.err
 
 
+def test_cli_rejects_fresh_report_cut_at_a_line_boundary(tiny_run, tmp_path, capsys):
+    # Dropping the last variant's two lines leaves a well-formed file; only
+    # the configured variants tell it from a whole report.
+    _, clone = _clone(tiny_run, tmp_path)
+    kv = clone / "report" / "report.kv"
+    lines = kv.read_text().splitlines(keepends=True)
+    kv.write_text("".join(lines[:-2]))
+    system, vad, _ = lines[-1].split("=")[0].split(".")
+    code = main(["report", "--config", str(clone / "config.yaml"),
+                 "--out", str(clone)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("deskspeaker: ")
+    assert "report.kv" in captured.err
+    assert variant_name(system, vad == "vad") in captured.err
+
+
+def test_load_report_checks_expected_variants(tmp_path):
+    (tmp_path / "report").mkdir()
+    (tmp_path / "report" / "report.kv").write_text(
+        "S1.novad.eer=0.25\nS1.novad.min_cprimary=0.5\n")
+    assert len(load_report(tmp_path, [("S1", False)]).results) == 1
+    with pytest.raises(FormatError, match="S1-vad"):
+        load_report(tmp_path, [("S1", False), ("S1", True)])  # missing
+    with pytest.raises(FormatError, match="S1-novad"):
+        load_report(tmp_path, [("S2", False)])  # extra, and S2 missing
+
+
 def test_cli_offers_every_stage_with_help():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

@@ -1,8 +1,12 @@
 """Background-model tests against explicit per-frame density oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from deskspeaker import ubm
 from deskspeaker.errors import EmptyInputError
 from deskspeaker.ubm import DiagGmm, gmm_loglik, gmm_posteriors, train_gmm
 
@@ -154,3 +158,102 @@ class TestTraining:
         np.testing.assert_array_equal(loaded.means, gmm.means)
         np.testing.assert_array_equal(loaded.variances, gmm.variances)
         assert loaded.em_loglik is None
+
+
+def _em_oracle(frames, gmm, n_iters):
+    """Unblocked EM: the full (N, C) log-joint and posteriors per iteration."""
+    floor = np.maximum(ubm.VAR_FLOOR_FRAC * frames.var(axis=0), 1e-12)
+    history = []
+    for _ in range(n_iters):
+        inv = 1.0 / gmm.variances
+        const = -0.5 * (gmm.dim * np.log(2.0 * np.pi)
+                        + np.log(gmm.variances).sum(axis=1)
+                        + (gmm.means ** 2 * inv).sum(axis=1))
+        lj = (frames ** 2) @ (-0.5 * inv).T + frames @ (gmm.means * inv).T + const \
+            + np.log(gmm.weights)
+        per_frame = logsumexp(lj, axis=1)
+        history.append(float(per_frame.sum()))
+        post = np.exp(lj - per_frame[:, None])
+        counts = post.sum(axis=0)
+        occupied = counts > 1e-10
+        first = post.T @ frames
+        second = post.T @ (frames ** 2)
+        means = gmm.means.copy()
+        variances = gmm.variances.copy()
+        means[occupied] = first[occupied] / counts[occupied, None]
+        variances[occupied] = np.maximum(
+            second[occupied] / counts[occupied, None] - means[occupied] ** 2, floor)
+        weights = np.maximum(counts / frames.shape[0], 1e-12)
+        gmm = DiagGmm(weights / weights.sum(), means, variances)
+    gmm.em_loglik = np.asarray(history)
+    return gmm
+
+
+def _kmeans_pp_oracle(frames, k, rng):
+    """k-means++ over the whole frame matrix at once."""
+    n = frames.shape[0]
+    centers = [frames[rng.integers(n)]]
+    d2 = ((frames - centers[0]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
+        centers.append(frames[rng.choice(n, p=probs)])
+        d2 = np.minimum(d2, ((frames - centers[-1]) ** 2).sum(axis=1))
+    return np.array(centers)
+
+
+def _frames(n, seed, dim=5):
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((4, dim)) * 3.0
+    return centers[rng.integers(4, size=n)] + rng.standard_normal((n, dim))
+
+
+class TestBlockwiseTraining:
+    """Training passes run over BLOCK_FRAMES-frame blocks; these pin them to
+    the same computations over the whole frame matrix."""
+
+    @pytest.mark.parametrize("blocks", [None, 1.0, 2.5], ids=["block-1", "block", "2.5-blocks"])
+    def test_em_matches_unblocked_oracle(self, blocks):
+        n = ubm.BLOCK_FRAMES - 1 if blocks is None else int(blocks * ubm.BLOCK_FRAMES)
+        frames = _frames(n, seed=72)
+        init = train_gmm(frames, 6, n_iters=0, seed=4)
+        got = train_gmm(frames, 6, n_iters=5, seed=4)
+        want = _em_oracle(frames, init, 5)
+        for name in ("weights", "means", "variances", "em_loglik"):
+            if n <= ubm.BLOCK_FRAMES:  # one block: the same sums in the same order
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            else:
+                np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                           rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["real", "ties"])
+    def test_nearest_equals_full_argmin(self, integer):
+        rng = np.random.default_rng(73)
+        n = int(2.5 * ubm.BLOCK_FRAMES)
+        if integer:  # small integer grids: many exact ties, and a duplicate center
+            frames = rng.integers(-2, 3, size=(n, 3)).astype(float)
+            centers = rng.integers(-2, 3, size=(6, 3)).astype(float)
+            centers[4] = centers[1]
+        else:
+            frames = rng.standard_normal((n, 3))
+            centers = rng.standard_normal((6, 3))
+        full = ((frames[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(ubm._nearest(frames, centers), full.argmin(axis=1))
+        if integer:
+            assert ((full == full.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+
+    def test_kmeans_pp_matches_unblocked_oracle(self):
+        frames = _frames(int(2.5 * ubm.BLOCK_FRAMES), seed=74)
+        np.testing.assert_array_equal(
+            ubm._kmeans_pp(frames, 8, np.random.default_rng(5)),
+            _kmeans_pp_oracle(frames, 8, np.random.default_rng(5)))
+
+    def test_peak_memory_is_frames_plus_blocks(self):
+        frames = np.random.default_rng(75).standard_normal((60_000, 12))
+        tracemalloc.start()
+        try:
+            train_gmm(frames, 16, n_iters=3, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * frames.nbytes + 4 * 2 ** 20, \
+            f"traced peak {peak / 2 ** 20:.1f} MiB for {frames.nbytes / 2 ** 20:.1f} MiB of frames"
