@@ -12,8 +12,8 @@ from .errors import (AllSilenceError, DegenerateScoreSetError,
                      NumericsError, StageDependencyError,
                      TooShortUtteranceError)
 from .fileio import AcousticFrameSequence
-from .harness import (Report, SystemResult, cross_apply_weights,
-                      expand_frame_weights, load_report, run_pipeline)
+from .harness import (Report, SystemResult, expand_frame_weights,
+                      load_report, run_pipeline)
 from .ivector import (SufficientStats, TotalVariabilityModel,
                       accumulate_stats, extract_ivector, train_tvm)
 from .metrics import (TrialScoreSet, compute_eer, compute_min_cprimary,
@@ -27,7 +27,7 @@ __all__ = [
     "AcousticFrameSequence", "PipelineConfig", "default_config",
     "load_config", "save_config", "config_to_dict", "copy_config",
     "run_pipeline", "Report", "SystemResult", "load_report",
-    "cross_apply_weights", "expand_frame_weights", "SynthCorpus",
+    "expand_frame_weights", "SynthCorpus",
     "SynthCorpusConfig", "generate_corpus", "DiagGmm", "train_gmm",
     "gmm_posteriors", "gmm_loglik", "SufficientStats",
     "TotalVariabilityModel", "accumulate_stats", "extract_ivector",

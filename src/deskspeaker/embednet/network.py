@@ -15,8 +15,8 @@ import numpy as np
 from ..errors import (FormatError, MissingAttentionError,
                       TooShortUtteranceError)
 from ..fileio import read_named_tensors, write_named_tensors
-from .ops import (AttentionParams, BatchNorm, attention_scores,
-                  attention_weights, pool_weighted_stats)
+from .ops import (AttentionParams, BatchNorm, _block_forward,
+                  attention_scores, attention_weights, pool_weighted_stats)
 
 DEFAULT_TDNN_OFFSETS = ((-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3), (0,), (0,))
 
@@ -140,25 +140,42 @@ def _forward_frames(params: EmbedNetParams, x: np.ndarray, cache: list | None = 
     y = x
     for layer in params.tdnn:
         spliced = _splice(y, layer.offsets)
-        z = spliced @ layer.linear.weight.T + layer.linear.bias
-        r = np.maximum(z, 0.0)
-        y = layer.norm.apply(r)
+        z, r, y = _block_forward(spliced, layer.linear, layer.norm)
         if cache is not None:
             cache.append({"spliced": spliced, "z": z, "r": r})
     return y
 
 
-def _segment_forward(params: EmbedNetParams, s: np.ndarray, cache: dict | None = None):
-    emb = params.seg1.weight @ s + params.seg1.bias
-    r1 = np.maximum(emb, 0.0)
-    y1 = params.norm1.apply(r1)
-    z2 = params.seg2.weight @ y1 + params.seg2.bias
-    r2 = np.maximum(z2, 0.0)
-    y2 = params.norm2.apply(r2)
-    logits = params.out.weight @ y2 + params.out.bias
+def _attend(h: np.ndarray, params: EmbedNetParams, cache: dict | None = None):
+    if params.attention is None:
+        raise MissingAttentionError("network has no attention layer")
+    return attention_weights(attention_scores(h, params.attention, cache))
+
+
+def _pool_forward(params: EmbedNetParams, h: np.ndarray, weights, cache: dict | None = None):
+    """Everything above the TDNN stack: pool the hidden sequence h, then run
+    the segment layers. Returns (embedding, logits).
+
+    weights: "uniform", "internal" (the network's own attention), or an
+    explicit per-frame weight vector over the rows of h. cache, when given,
+    receives the pooling weights (alpha), the attention head's and the
+    pooling's intermediates, and each segment layer's arrays as one-row
+    matrices: s (pooled statistics), emb/r1/y1 and z2/r2/y2.
+    """
+    if isinstance(weights, str):
+        if weights == "uniform":
+            weights = np.full(h.shape[0], 1.0 / h.shape[0])
+        elif weights == "internal":
+            weights = _attend(h, params, cache)
+        else:
+            raise FormatError(f"unknown weight source {weights!r}")
+    s = pool_weighted_stats(h, weights, cache).concat()[None, :]
+    emb, r1, y1 = _block_forward(s, params.seg1, params.norm1)
+    z2, r2, y2 = _block_forward(y1, params.seg2, params.norm2)
+    logits = y2 @ params.out.weight.T + params.out.bias
     if cache is not None:
-        cache.update(s=s, emb=emb, r1=r1, y1=y1, z2=z2, r2=r2, y2=y2)
-    return emb, logits
+        cache.update(alpha=weights, s=s, emb=emb, r1=r1, y1=y1, z2=z2, r2=r2, y2=y2)
+    return emb[0], logits[0]
 
 
 def tdnn_forward(frames, params: EmbedNetParams) -> np.ndarray:
@@ -168,19 +185,7 @@ def tdnn_forward(frames, params: EmbedNetParams) -> np.ndarray:
 
 def hidden_attention_weights(h: np.ndarray, params: EmbedNetParams) -> np.ndarray:
     """The network's attention weights over a hidden sequence from tdnn_forward."""
-    if params.attention is None:
-        raise MissingAttentionError("network has no attention layer")
-    return attention_weights(attention_scores(h, params.attention))
-
-
-def _resolve_weights(h: np.ndarray, params: EmbedNetParams, weights):
-    if isinstance(weights, str):
-        if weights == "uniform":
-            return np.full(h.shape[0], 1.0 / h.shape[0])
-        if weights == "internal":
-            return hidden_attention_weights(h, params)
-        raise FormatError(f"unknown weight source {weights!r}")
-    return np.asarray(weights, dtype=np.float64)
+    return _attend(h, params)
 
 
 def embed_hidden(h: np.ndarray, params: EmbedNetParams, weights="uniform") -> np.ndarray:
@@ -190,9 +195,7 @@ def embed_hidden(h: np.ndarray, params: EmbedNetParams, weights="uniform") -> np
     weights: "uniform", "internal" (the network's own attention), or an
     explicit per-frame weight vector over the valid frames.
     """
-    w = _resolve_weights(h, params, weights)
-    emb, _ = _segment_forward(params, pool_weighted_stats(h, w).concat())
-    return emb
+    return _pool_forward(params, h, weights)[0]
 
 
 def extract_embedding(frames, params: EmbedNetParams, weights="uniform") -> np.ndarray:
@@ -209,10 +212,7 @@ def forward_logits(frames, params: EmbedNetParams, weights=None) -> np.ndarray:
     """Inference-mode logits; defaults to the network's natural pooling."""
     if weights is None:
         weights = "internal" if params.attention is not None else "uniform"
-    h = tdnn_forward(frames, params)
-    w = _resolve_weights(h, params, weights)
-    _, logits = _segment_forward(params, pool_weighted_stats(h, w).concat())
-    return logits
+    return _pool_forward(params, tdnn_forward(frames, params), weights)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +283,7 @@ def softmax_cross_entropy(logits: np.ndarray, label: int):
 
 def chunk_loss(params: EmbedNetParams, x: np.ndarray, label: int, mode: str) -> float:
     """Training-objective forward only (used by finite-difference checks)."""
-    h = _forward_frames(params, x)
-    if mode == "internal":
-        w = attention_weights(attention_scores(h, params.attention))
-    else:
-        w = np.full(h.shape[0], 1.0 / h.shape[0])
-    _, logits = _segment_forward(params, pool_weighted_stats(h, w).concat())
+    _, logits = _pool_forward(params, _forward_frames(params, x), mode)
     return softmax_cross_entropy(logits, label)[0]
 
 
@@ -312,22 +307,14 @@ def relu_inputs(params: EmbedNetParams, x: np.ndarray, mode: str):
     before the sqrt.
     """
     frame_cache: list = []
-    h = _forward_frames(params, x, frame_cache)
+    cache: dict = {}
+    _pool_forward(params, _forward_frames(params, x, frame_cache), mode, cache)
     inputs = {f"tdnn{i}": c["z"] for i, c in enumerate(frame_cache)}
-    if mode == "internal":
-        att_cache: dict = {}
-        alpha = attention_weights(attention_scores(h, params.attention, att_cache))
-        inputs["att"] = att_cache["za"]
-    else:
-        alpha = np.full(h.shape[0], 1.0 / h.shape[0])
-    mean = alpha @ h
-    radicand = alpha @ (h * h) - mean * mean
-    seg_cache: dict = {}
-    _segment_forward(params, np.concatenate([mean, np.sqrt(np.maximum(radicand, 0.0))]),
-                     seg_cache)
-    inputs["norm1"] = seg_cache["emb"][None, :]
-    inputs["norm2"] = seg_cache["z2"][None, :]
-    return inputs, radicand
+    if "za" in cache:  # the attention head ran
+        inputs["att"] = cache["za"]
+    inputs["norm1"] = cache["emb"]
+    inputs["norm2"] = cache["z2"]
+    return inputs, cache["radicand"]
 
 
 def kink_margin(params: EmbedNetParams, x: np.ndarray, mode: str):
@@ -342,6 +329,24 @@ def kink_margin(params: EmbedNetParams, x: np.ndarray, mode: str):
     return min(float(np.abs(z).min()) for z in inputs.values()), float(radicand.min())
 
 
+def _block_backward(dy, x, z, r, layer, norm, grads: dict, acts: dict,
+                    layer_name: str, site: str) -> np.ndarray:
+    """Backward of one Linear -> ReLU -> norm block (see ops._block_forward)
+    over rows. dy is the loss gradient of the block's output; x, z and r are
+    its input, pre-ReLU and post-ReLU arrays. Stores the gradients of
+    `layer_name`.w/.b and `site`.gamma/.beta in grads and r as acts[site],
+    and returns the gradient of x."""
+    inv = norm.scale()
+    grads[f"{site}.gamma"] = (dy * (r - norm.running_mean) * inv).sum(axis=0)
+    grads[f"{site}.beta"] = dy.sum(axis=0)
+    dz = dy * norm.gamma * inv * (z > 0)
+    # np.dot, not @: on one-row blocks matmul takes a slow non-BLAS path
+    grads[f"{layer_name}.w"] = np.dot(dz.T, x)
+    grads[f"{layer_name}.b"] = dz.sum(axis=0)
+    acts[site] = r
+    return dz @ layer.weight
+
+
 def chunk_loss_and_grads(params: EmbedNetParams, x: np.ndarray, label: int, mode: str):
     """Forward + analytic backward for one chunk.
 
@@ -351,97 +356,51 @@ def chunk_loss_and_grads(params: EmbedNetParams, x: np.ndarray, label: int, mode
     """
     frame_cache: list = []
     h = _forward_frames(params, x, frame_cache)
-    att_cache: dict = {}
-    if mode == "internal":
-        e = attention_scores(h, params.attention, att_cache)
-        alpha = attention_weights(e)
-    elif mode == "uniform":
-        alpha = np.full(h.shape[0], 1.0 / h.shape[0])
-    else:
-        raise FormatError(f"unknown training mode {mode!r}")
-
-    mean = alpha @ h
-    second = alpha @ (h * h)
-    radicand = second - mean * mean
-    sigma = np.sqrt(np.maximum(radicand, 0.0))
-    seg_cache: dict = {}
-    _, logits = _segment_forward(params, np.concatenate([mean, sigma]), seg_cache)
+    c: dict = {}
+    _, logits = _pool_forward(params, h, mode, c)
     loss, dlogits = softmax_cross_entropy(logits, label)
 
-    grads: dict[str, np.ndarray] = {}
-    acts = {"norm1": seg_cache["r1"][None, :], "norm2": seg_cache["r2"][None, :]}
-
-    # segment layers
-    grads["out.w"] = np.outer(dlogits, seg_cache["y2"])
-    grads["out.b"] = dlogits
-    dy2 = params.out.weight.T @ dlogits
-
-    inv2 = params.norm2.scale()
-    grads["norm2.gamma"] = dy2 * (seg_cache["r2"] - params.norm2.running_mean) * inv2
-    grads["norm2.beta"] = dy2
-    dr2 = dy2 * params.norm2.gamma * inv2
-    dz2 = dr2 * (seg_cache["z2"] > 0)
-    grads["seg2.w"] = np.outer(dz2, seg_cache["y1"])
-    grads["seg2.b"] = dz2
-    dy1 = params.seg2.weight.T @ dz2
-
-    inv1 = params.norm1.scale()
-    grads["norm1.gamma"] = dy1 * (seg_cache["r1"] - params.norm1.running_mean) * inv1
-    grads["norm1.beta"] = dy1
-    dr1 = dy1 * params.norm1.gamma * inv1
-    demb = dr1 * (seg_cache["emb"] > 0)
-    grads["seg1.w"] = np.outer(demb, seg_cache["s"])
-    grads["seg1.b"] = demb
-    ds = params.seg1.weight.T @ demb
+    # segment layers, as one-row matrices
+    grads = {"out.w": np.outer(dlogits, c["y2"]), "out.b": dlogits}
+    acts: dict = {}
+    dy = dlogits[None, :] @ params.out.weight
+    dy = _block_backward(dy, c["y1"], c["z2"], c["r2"], params.seg2, params.norm2,
+                         grads, acts, "seg2", "norm2")
+    ds = _block_backward(dy, c["s"], c["emb"], c["r1"], params.seg1, params.norm1,
+                         grads, acts, "seg1", "norm1")[0]
 
     # pooling
-    dim = mean.shape[0]
+    dim = h.shape[1]
+    mean, sigma = c["s"][0, :dim], c["s"][0, dim:]
     dmean = ds[:dim].copy()
     dsigma = ds[dim:]
-    pos = radicand > 1e-12
+    pos = c["radicand"] > 1e-12
     dradicand = np.where(pos, dsigma * 0.5 / np.where(pos, sigma, 1.0), 0.0)
     dmean -= 2.0 * mean * dradicand
+    alpha = c["alpha"]
     dh = alpha[:, None] * (dmean[None, :] + 2.0 * h * dradicand[None, :])
-    if mode == "internal":
+    if "ua" in c:  # the attention head ran
         dalpha = h @ dmean + (h * h) @ dradicand
         de = alpha * (dalpha - alpha @ dalpha)
         att = params.attention
-        grads["att.v"] = att_cache["ua"].T @ de
+        grads["att.v"] = c["ua"].T @ de
         grads["att.k"] = np.asarray(de.sum())
-        dua = np.outer(de, att.v)
-        inva = att.norm.scale()
-        grads["att.gamma"] = (dua * (att_cache["ra"] - att.norm.running_mean) * inva).sum(axis=0)
-        grads["att.beta"] = dua.sum(axis=0)
-        dra = dua * att.norm.gamma * inva
-        dza = dra * (att_cache["za"] > 0)
-        grads["att.w"] = dza.T @ h
-        grads["att.b"] = dza.sum(axis=0)
-        dh = dh + dza @ att.weight
-        acts["att"] = att_cache["ra"]
+        dh = dh + _block_backward(np.outer(de, att.v), h, c["za"], c["ra"], att,
+                                  att.norm, grads, acts, "att", "att")
 
     # TDNN stack
     dy = dh
     for i in reversed(range(len(params.tdnn))):
         layer = params.tdnn[i]
-        cache = frame_cache[i]
-        acts[f"tdnn{i}"] = cache["r"]
-        inv = layer.norm.scale()
-        grads[f"tdnn{i}.gamma"] = (dy * (cache["r"] - layer.norm.running_mean) * inv).sum(axis=0)
-        grads[f"tdnn{i}.beta"] = dy.sum(axis=0)
-        dr = dy * layer.norm.gamma * inv
-        dz = dr * (cache["z"] > 0)
-        grads[f"tdnn{i}.w"] = dz.T @ cache["spliced"]
-        grads[f"tdnn{i}.b"] = dz.sum(axis=0)
-        dspliced = dz @ layer.linear.weight
-        in_dim = params.input_dim if i == 0 else params.tdnn[i - 1].linear.bias.shape[0]
-        in_len = (x.shape[0] if i == 0
-                  else frame_cache[i - 1]["z"].shape[0])
-        n_out = dz.shape[0]
-        dx = np.zeros((in_len, in_dim))
-        for j, o in enumerate(layer.offsets):
-            shift = o - layer.offsets[0]
-            dx[shift:shift + n_out] += dspliced[:, j * in_dim:(j + 1) * in_dim]
-        dy = dx
+        fc = frame_cache[i]
+        dspliced = _block_backward(dy, fc["spliced"], fc["z"], fc["r"], layer.linear,
+                                   layer.norm, grads, acts, f"tdnn{i}", f"tdnn{i}")
+        offsets = layer.offsets
+        n_out, in_dim = dy.shape[0], dspliced.shape[1] // len(offsets)
+        dy = np.zeros((n_out + offsets[-1] - offsets[0], in_dim))
+        for j, o in enumerate(offsets):
+            shift = o - offsets[0]
+            dy[shift:shift + n_out] += dspliced[:, j * in_dim:(j + 1) * in_dim]
 
     return loss, grads, acts
 

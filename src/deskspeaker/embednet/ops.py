@@ -70,6 +70,17 @@ class PooledStats:
         return np.concatenate([self.mean, self.std])
 
 
+def _block_forward(x: np.ndarray, layer, norm: BatchNorm):
+    """One Linear -> ReLU -> norm block over the rows of x.
+
+    layer has .weight (out, in) and .bias; returns the pre-ReLU, post-ReLU
+    and normalized arrays, each (rows, out).
+    """
+    z = x @ layer.weight.T + layer.bias
+    r = np.maximum(z, 0.0)
+    return z, r, norm.apply(r)
+
+
 def attention_scores(h: np.ndarray, params: AttentionParams,
                      cache: dict | None = None) -> np.ndarray:
     """Scalar relevance score per frame.
@@ -77,10 +88,7 @@ def attention_scores(h: np.ndarray, params: AttentionParams,
     cache, when given, receives the head's intermediates for the backward
     pass: za (pre-ReLU), ra (post-ReLU) and ua (normalized).
     """
-    h = np.asarray(h, dtype=np.float64)
-    za = h @ params.weight.T + params.bias
-    ra = np.maximum(za, 0.0)
-    ua = params.norm.apply(ra)
+    za, ra, ua = _block_forward(np.asarray(h, dtype=np.float64), params, params.norm)
     if cache is not None:
         cache.update(za=za, ra=ra, ua=ua)
     return ua @ params.v + params.k
@@ -108,11 +116,13 @@ def _check_weights(h: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return weights
 
 
-def pool_weighted_stats(h: np.ndarray, weights: np.ndarray) -> PooledStats:
+def pool_weighted_stats(h: np.ndarray, weights: np.ndarray,
+                        cache: dict | None = None) -> PooledStats:
     """Weighted mean and weighted standard deviation over frames.
 
     std_j = sqrt(sum_t w_t h_tj^2 - mean_j^2); tiny negative radicands from
     rounding are clamped to zero, anything worse is an internal error.
+    cache, when given, receives the radicand for the backward pass.
     """
     h = np.asarray(h, dtype=np.float64)
     weights = _check_weights(h, weights)
@@ -122,6 +132,8 @@ def pool_weighted_stats(h: np.ndarray, weights: np.ndarray) -> PooledStats:
     worst = radicand.min() if radicand.size else 0.0
     if worst < -_NEG_RADICAND_TOL:
         raise NumericsError(f"variance radicand {worst:.3e} is negative beyond rounding")
+    if cache is not None:
+        cache["radicand"] = radicand
     return PooledStats(mean, np.sqrt(np.maximum(radicand, 0.0)))
 
 

@@ -10,6 +10,7 @@ seconds, followed by the payload row-major.
 
 Model files (GMM1, TVM1, PLD1, PRE1) store float64 tensors after a small
 dimension header; EMB1 stores a self-describing named-tensor table in float32.
+Their readers refuse a file with bytes after the payload.
 Vector sets travel as an AFS1 matrix (one vector per row) plus a text sidecar
 with one id per line.
 """
@@ -112,11 +113,7 @@ def read_frame_weights(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# float64 model containers
-
-def _write_f64(f, arr):
-    f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
+# float64 model containers: magic, u32 dimensions, then each array in order
 
 def _read_f64(f, count, path):
     arr = np.fromfile(f, dtype="<f8", count=count)
@@ -142,79 +139,69 @@ def _check_magic(f, magic, path):
         raise FormatError(f"{path}: expected magic {magic!r}, found {got!r}")
 
 
-def write_gmm(path, weights, means, variances):
-    c, d = np.asarray(means).shape
+def _check_end(f, path):
+    if f.read(1):
+        raise FormatError(f"{path}: trailing bytes after the payload")
+
+
+# magic -> (number of header dimensions, array shapes from those dimensions)
+_F64_MODELS = {
+    b"GMM1": (2, lambda c, d: [(c,), (c, d), (c, d)]),
+    b"TVM1": (2, lambda cd, r: [(cd,), (cd, r), (cd,)]),
+    b"PLD1": (2, lambda e, s: [(e,), (e, s), (e, e)]),
+    b"PRE1": (1, lambda e: [(e,), (e, e)]),
+}
+
+
+def _write_f64_model(path, magic: bytes, dims, arrays):
     with open(path, "wb") as f:
-        f.write(struct.pack("<4sII", b"GMM1", c, d))
-        _write_f64(f, weights)
-        _write_f64(f, means)
-        _write_f64(f, variances)
+        f.write(struct.pack(f"<4s{len(dims)}I", magic, *dims))
+        for arr in arrays:
+            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def _read_f64_model(path, magic: bytes) -> tuple:
+    n_dims, shapes = _F64_MODELS[magic]
+    with open(path, "rb") as f:
+        _check_magic(f, magic, path)
+        dims = _unpack(f, f"<{n_dims}I", path)
+        arrays = tuple(_read_f64(f, int(np.prod(shape)), path).reshape(shape)
+                       for shape in shapes(*dims))
+        _check_end(f, path)
+    return arrays
+
+
+def write_gmm(path, weights, means, variances):
+    _write_f64_model(path, b"GMM1", np.shape(means), (weights, means, variances))
 
 
 def read_gmm(path):
-    with open(path, "rb") as f:
-        _check_magic(f, b"GMM1", path)
-        c, d = _unpack(f, "<II", path)
-        weights = _read_f64(f, c, path)
-        means = _read_f64(f, c * d, path).reshape(c, d)
-        variances = _read_f64(f, c * d, path).reshape(c, d)
-    return weights, means, variances
+    return _read_f64_model(path, b"GMM1")
 
 
 def write_tvm(path, mean, t_matrix, sigma):
-    cd, r = np.asarray(t_matrix).shape
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sII", b"TVM1", cd, r))
-        _write_f64(f, mean)
-        _write_f64(f, t_matrix)
-        _write_f64(f, sigma)
+    _write_f64_model(path, b"TVM1", np.shape(t_matrix), (mean, t_matrix, sigma))
 
 
 def read_tvm(path):
-    with open(path, "rb") as f:
-        _check_magic(f, b"TVM1", path)
-        cd, r = _unpack(f, "<II", path)
-        mean = _read_f64(f, cd, path)
-        t_matrix = _read_f64(f, cd * r, path).reshape(cd, r)
-        sigma = _read_f64(f, cd, path)
-    return mean, t_matrix, sigma
+    return _read_f64_model(path, b"TVM1")
 
 
 def write_plda(path, mean, speaker_subspace, within_cov):
-    e = mean.shape[0]
-    s = speaker_subspace.shape[1]
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sII", b"PLD1", e, s))
-        _write_f64(f, mean)
-        _write_f64(f, speaker_subspace)
-        _write_f64(f, within_cov)
+    _write_f64_model(path, b"PLD1", np.shape(speaker_subspace),
+                     (mean, speaker_subspace, within_cov))
 
 
 def read_plda(path):
-    with open(path, "rb") as f:
-        _check_magic(f, b"PLD1", path)
-        e, s = _unpack(f, "<II", path)
-        mean = _read_f64(f, e, path)
-        subspace = _read_f64(f, e * s, path).reshape(e, s)
-        within = _read_f64(f, e * e, path).reshape(e, e)
-    return mean, subspace, within
+    return _read_f64_model(path, b"PLD1")
 
 
 def write_preprocessor(path, mean, whitener):
-    e = mean.shape[0]
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sI", b"PRE1", e))
-        _write_f64(f, mean)
-        _write_f64(f, whitener)
+    _write_f64_model(path, b"PRE1", np.shape(mean), (mean, whitener))
 
 
 def read_preprocessor(path):
-    with open(path, "rb") as f:
-        _check_magic(f, b"PRE1", path)
-        (e,) = _unpack(f, "<I", path)
-        mean = _read_f64(f, e, path)
-        whitener = _read_f64(f, e * e, path).reshape(e, e)
-    return mean, whitener
+    return _read_f64_model(path, b"PRE1")
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +253,7 @@ def read_named_tensors(path, magic: bytes):
             if arr.size != count:
                 raise FormatError(f"{path}: truncated tensor {name}")
             tensors[name] = arr.reshape(shape).astype(np.float64)
+        _check_end(f, path)
     return meta, tensors
 
 

@@ -40,12 +40,10 @@ from . import fileio
 from .backend import (PldaModel, Preprocessor, apply_preprocess,
                       fit_preprocessor, plda_score_matrix, train_plda)
 from .config import PipelineConfig, save_config
-from .embednet import (EmbedNetConfig, EmbedNetParams, combine_weights,
-                       embed_hidden, export_attention_weights,
+from .embednet import (EmbedNetConfig, combine_weights, embed_hidden,
                        hidden_attention_weights, load_embed_net,
                        save_embed_net, tdnn_forward, train_embed_network)
-from .errors import (DegenerateWeightsError, FormatError,
-                     MissingAttentionError, StageDependencyError)
+from .errors import DegenerateWeightsError, FormatError, StageDependencyError
 from .features import (SoftVadConfig, VadConfig, append_deltas, energy_vad,
                        sliding_cmn, soft_vad_posteriors)
 from .fileio import AcousticFrameSequence
@@ -130,29 +128,6 @@ def expand_frame_weights(weights: np.ndarray, n_frames: int,
     return full / total
 
 
-def cross_apply_weights(source_params: EmbedNetParams, utterances,
-                        out_dir, frame_period: float = 0.01) -> dict:
-    """Export one weight file per utterance from an attentive network.
-
-    utterances: iterable of (utt_id, frames). Weights cover the valid frames
-    only; consumers align them with `expand_frame_weights`. Raises
-    MissingAttentionError if the source network has no attention layer.
-    """
-    if source_params.attention is None:
-        raise MissingAttentionError(
-            "weight export needs an attentive source network")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for utt_id, frames in utterances:
-        frames = getattr(frames, "frames", frames)
-        alpha = export_attention_weights(frames, source_params)
-        path = out_dir / f"{utt_id}.fwt"
-        fileio.write_frame_weights(path, alpha, frame_period)
-        paths[utt_id] = str(path)
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # fingerprints and stage bookkeeping
 
@@ -217,8 +192,7 @@ def _read_manifest(path):
 
 def _stage_synth(cfg: PipelineConfig, out: Path, echo):
     """Generate the synthetic corpus."""
-    synth_cfg = dataclasses.replace(cfg.synth, seed=cfg.seed)
-    corpus = generate_corpus(synth_cfg)
+    corpus = generate_corpus(cfg.synth, seed=cfg.seed)
     d = _stage_dir(out, "synth")
     (d / "feats").mkdir(exist_ok=True)
     (d / "voice").mkdir(exist_ok=True)
@@ -240,7 +214,7 @@ def _stage_features(cfg: PipelineConfig, out: Path, echo):
     fcfg = cfg.features
     src = _stage_dir(out, "synth")
     d = _stage_dir(out, "features")
-    for sub in ("feats", "q", "voice"):
+    for sub in ("feats", "q"):
         (d / sub).mkdir(exist_ok=True)
     soft_cfg = SoftVadConfig(slope=fcfg.soft_vad_slope,
                              offset=fcfg.soft_vad_offset,
@@ -248,7 +222,6 @@ def _stage_features(cfg: PipelineConfig, out: Path, echo):
     rows = _read_manifest(src / "manifest.tsv")
     for utt, _, _ in rows:
         seq = fileio.read_features(src / "feats" / f"{utt}.afs")
-        voice = fileio.read_posteriors(src / "voice" / f"{utt}.vps")
         if fcfg.posterior_dir is not None:
             q = fileio.read_posteriors(Path(fcfg.posterior_dir) / f"{utt}.vps")
             if q.shape[0] != len(seq):
@@ -267,11 +240,8 @@ def _stage_features(cfg: PipelineConfig, out: Path, echo):
             processed = AcousticFrameSequence(processed.frames[mask],
                                               processed.frame_period)
             q = q[mask]
-            voice = voice[mask]
         fileio.write_features(d / "feats" / f"{utt}.afs", processed)
         fileio.write_posteriors(d / "q" / f"{utt}.vps", q, seq.frame_period)
-        fileio.write_posteriors(d / "voice" / f"{utt}.vps", voice,
-                                seq.frame_period)
     (d / "manifest.tsv").write_text((src / "manifest.tsv").read_text())
     if echo:
         echo(f"  processed {len(rows)} utterances "

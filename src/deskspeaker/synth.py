@@ -50,7 +50,6 @@ class SynthCorpusConfig:
     train_speaker_fraction: float = 0.7
     enroll_utts_per_speaker: int = 3
     frame_period: float = 0.01
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.noise_frame_fraction < 1.0:
@@ -108,8 +107,8 @@ def _noise_mask(length: int, count: int, rng: np.random.Generator) -> np.ndarray
     return mask
 
 
-def generate_corpus(cfg: SynthCorpusConfig) -> SynthCorpus:
-    root = np.random.SeedSequence(cfg.seed)
+def generate_corpus(cfg: SynthCorpusConfig, seed: int) -> SynthCorpus:
+    root = np.random.SeedSequence(seed)
     master = np.random.default_rng(root.spawn(1)[0])
     dim = cfg.feature_dim
     fdim = dim - 1  # non-energy feature dims

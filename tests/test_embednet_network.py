@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from deskspeaker.embednet import network
 from deskspeaker.embednet import train as train_module
 
 from deskspeaker.embednet import (DEFAULT_TDNN_OFFSETS, EmbedNetConfig,
@@ -186,6 +187,46 @@ class TestGradients:
         rel = np.abs(g - fd) / np.maximum(1e-5, np.maximum(np.abs(g),
                                                            np.abs(fd)))
         assert rel.max() < 1e-4
+
+    @pytest.mark.parametrize("attentive", [True, False])
+    def test_training_functions_reject_unknown_modes(self, attentive):
+        rng = np.random.default_rng(57)
+        params = _toy_params(rng, attentive=attentive)
+        x = rng.standard_normal((9, 3))
+        for mode in ("attentive", "Uniform", ""):
+            with pytest.raises(FormatError):
+                chunk_loss(params, x, 0, mode)
+            with pytest.raises(FormatError):
+                network.relu_inputs(params, x, mode)
+            with pytest.raises(FormatError):
+                chunk_loss_and_grads(params, x, 0, mode)
+
+    def test_internal_mode_on_plain_network_raises(self):
+        rng = np.random.default_rng(58)
+        params = _toy_params(rng, attentive=False)
+        x = rng.standard_normal((9, 3))
+        with pytest.raises(MissingAttentionError):
+            chunk_loss_and_grads(params, x, 0, "internal")
+        with pytest.raises(MissingAttentionError):
+            chunk_loss(params, x, 0, "internal")
+        with pytest.raises(MissingAttentionError):
+            network.relu_inputs(params, x, "internal")
+
+    @pytest.mark.parametrize("mode", ["internal", "uniform"])
+    def test_training_forward_equals_inference_forward(self, mode):
+        # one pooling forward serves training, the kink check and extraction
+        rng = np.random.default_rng(59)
+        params = _toy_params(rng)
+        x = rng.standard_normal((11, 3))
+        loss, _, _ = chunk_loss_and_grads(params, x, 2, mode)
+        want, _ = network.softmax_cross_entropy(forward_logits(x, params, mode), 2)
+        assert loss == want == chunk_loss(params, x, 2, mode)
+        _, radicand = kink_margin(params, x, mode)
+        h = tdnn_forward(x, params)
+        alpha = (export_attention_weights(x, params) if mode == "internal"
+                 else np.full(h.shape[0], 1.0 / h.shape[0]))
+        stats = pool_weighted_stats(h, alpha)
+        assert radicand == pytest.approx(float((stats.std ** 2).min()), abs=1e-12)
 
     def test_loss_is_positive_and_finite(self):
         rng = np.random.default_rng(52)

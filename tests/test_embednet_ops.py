@@ -127,6 +127,16 @@ class TestPooledStats:
         np.testing.assert_allclose(stats.mean, h[1], atol=1e-12)
         np.testing.assert_allclose(stats.std, 0.0, atol=1e-7)
 
+    def test_cache_receives_the_radicand(self):
+        rng = np.random.default_rng(15)
+        h = rng.standard_normal((9, 4))
+        w = rng.dirichlet(np.ones(9))
+        cache = {}
+        stats = pool_weighted_stats(h, w, cache)
+        mean = w @ h
+        np.testing.assert_array_equal(cache["radicand"], w @ (h * h) - mean * mean)
+        np.testing.assert_array_equal(stats.std, np.sqrt(cache["radicand"]))
+
     def test_rejects_bad_weights(self):
         h = np.ones((4, 2))
         with pytest.raises(DegenerateWeightsError):

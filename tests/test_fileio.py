@@ -197,6 +197,53 @@ def test_truncated_model_file_raises_format_error(tmp_path, write, read):
             read(cut)
 
 
+@pytest.mark.parametrize("write, read", [
+    pytest.param(write, read, id=kind) for kind, write, read in _model_files()])
+def test_model_file_with_trailing_bytes_raises_format_error(tmp_path, write, read):
+    path = tmp_path / "model"
+    write(path)
+    read(path)
+    path.write_bytes(path.read_bytes() + struct.pack("<d", 0.0))
+    with pytest.raises(FormatError, match="trailing"):
+        read(path)
+
+
+def _f64(*arrays) -> bytes:
+    values = [float(v) for arr in arrays for v in np.ravel(arr)]
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _float64_models():
+    w, mean2 = np.array([0.25, 0.75]), np.array([-1.5, 2.0])
+    m23 = np.arange(6.0).reshape(2, 3) / 8
+    v23 = np.arange(1.0, 7.0).reshape(2, 3)
+    m21, m22 = np.array([[0.5], [-0.25]]), np.array([[2.0, 0.5], [0.5, 3.0]])
+    yield ("GMM1", lambda p: fileio.write_gmm(p, w, m23, v23), fileio.read_gmm,
+           struct.pack("<4sII", b"GMM1", 2, 3) + _f64(w, m23, v23), (w, m23, v23))
+    yield ("TVM1", lambda p: fileio.write_tvm(p, mean2, m21, w), fileio.read_tvm,
+           struct.pack("<4sII", b"TVM1", 2, 1) + _f64(mean2, m21, w), (mean2, m21, w))
+    yield ("PLD1", lambda p: fileio.write_plda(p, mean2, m21, m22), fileio.read_plda,
+           struct.pack("<4sII", b"PLD1", 2, 1) + _f64(mean2, m21, m22),
+           (mean2, m21, m22))
+    yield ("PRE1", lambda p: fileio.write_preprocessor(p, mean2, m22),
+           fileio.read_preprocessor,
+           struct.pack("<4sI", b"PRE1", 2) + _f64(mean2, m22), (mean2, m22))
+
+
+@pytest.mark.parametrize("write, read, expected, arrays", [
+    pytest.param(*case, id=kind) for kind, *case in _float64_models()])
+def test_float64_model_bytes_on_disk(tmp_path, write, read, expected, arrays):
+    # magic, u32 dimensions, then each array as little-endian float64
+    path = tmp_path / "model"
+    write(path)
+    assert path.read_bytes() == expected
+    back = read(path)
+    assert len(back) == len(arrays)
+    for got, want in zip(back, arrays):
+        np.testing.assert_array_equal(got, want)
+        assert got.shape == want.shape
+
+
 class TestTextSidecars:
     def test_vector_set_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)

@@ -17,14 +17,13 @@ from deskspeaker import fileio, harness, ivector
 from deskspeaker.cli import build_parser, main
 from deskspeaker.config import (config_to_dict, copy_config, default_config,
                                 load_config)
-from deskspeaker.embednet import (EmbedNetConfig, combine_weights,
-                                  export_attention_weights, extract_embedding,
-                                  init_embed_net, load_embed_net, network)
+from deskspeaker.embednet import (combine_weights, export_attention_weights,
+                                  extract_embedding, load_embed_net, network)
 from deskspeaker.errors import (DegenerateWeightsError, FormatError,
-                                MissingAttentionError, StageDependencyError)
+                                StageDependencyError)
 from deskspeaker.harness import (STAGES, SYSTEMS, Report, SystemResult,
-                                 cross_apply_weights, expand_frame_weights,
-                                 load_report, run_pipeline, variant_name)
+                                 expand_frame_weights, load_report,
+                                 run_pipeline, variant_name)
 from deskspeaker.ivector import (TotalVariabilityModel, accumulate_stats,
                                  extract_ivector)
 from deskspeaker.synth import SynthCorpusConfig
@@ -80,38 +79,6 @@ def test_variant_name():
     assert variant_name("S5", False) == "S5-novad"
 
 
-def _tiny_att_net(rng_seed: int, input_dim: int = 5):
-    cfg = EmbedNetConfig(input_dim=input_dim, n_speakers=3, hidden_dim=6,
-                         pool_dim=6, embed_dim=4, attention_dim=3,
-                         attentive=True, seed=rng_seed)
-    return init_embed_net(cfg, np.random.default_rng(rng_seed))
-
-
-def test_cross_apply_weights_round_trip(tmp_path):
-    params = _tiny_att_net(5)
-    rng = np.random.default_rng(11)
-    utts = [("u000", rng.normal(size=(40, 5))),
-            ("u001", fileio.AcousticFrameSequence(rng.normal(size=(33, 5)),
-                                                  0.01))]
-    paths = cross_apply_weights(params, utts, tmp_path / "w")
-    assert set(paths) == {"u000", "u001"}
-    for utt_id, frames in utts:
-        frames = getattr(frames, "frames", frames)
-        want = export_attention_weights(frames, params)
-        got = fileio.read_frame_weights(paths[utt_id])
-        assert got.shape == want.shape
-        assert np.allclose(got, want, atol=1e-6)
-        assert got.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_cross_apply_weights_needs_attention(tmp_path):
-    cfg = EmbedNetConfig(input_dim=5, n_speakers=3, hidden_dim=6, pool_dim=6,
-                         embed_dim=4, attentive=False, seed=2)
-    plain = init_embed_net(cfg, np.random.default_rng(2))
-    with pytest.raises(MissingAttentionError):
-        cross_apply_weights(plain, [("u0", np.zeros((30, 5)))], tmp_path / "w")
-
-
 # ---------------------------------------------------------------------------
 # end-to-end pipeline on a tiny corpus
 
@@ -119,7 +86,7 @@ def _tiny_config(out_dir):
     cfg = default_config(seed=23, out=str(out_dir))
     cfg.synth = SynthCorpusConfig(
         n_speakers=6, utts_per_speaker=4, frames_per_utt=60, feature_dim=6,
-        noise_frame_fraction=0.3, enroll_utts_per_speaker=2, seed=23)
+        noise_frame_fraction=0.3, enroll_utts_per_speaker=2)
     cfg.embednet.hidden_dim = 8
     cfg.embednet.pool_dim = 8
     cfg.embednet.embed_dim = 6
@@ -171,6 +138,15 @@ def test_pipeline_writes_expected_artifacts(tiny_run):
             assert (out / "vectors" / variant / f"{part}.afs").exists()
         assert (out / "scores" / f"{variant}.txt").exists()
     assert (out / "report" / "report.txt").exists()
+
+
+def test_voice_flags_are_stored_once(tiny_run):
+    # the corpus keeps the ground-truth voice flags; the features stage
+    # writes no copy of them
+    _, out, _ = tiny_run
+    assert sorted(p.name for p in (out / "corpus" / "voice").iterdir()) \
+        == sorted(f"{u}.vps" for u in _utt_ids(out))
+    assert not (out / "features" / "voice").exists()
 
 
 def _clone(tiny_run, tmp_path):
@@ -417,8 +393,8 @@ def _perturbed(value):
 
 
 # Fields no stamp may depend on: `out` says where a run lives, not what it
-# computes, and the synth stage replaces `synth.seed` with the master seed.
-_UNHASHED = {"out", "synth.seed"}
+# computes.
+_UNHASHED = {"out"}
 
 
 def test_every_config_field_is_fingerprinted():
@@ -433,6 +409,14 @@ def test_every_config_field_is_fingerprinted():
         setattr(holder, name, _perturbed(getattr(holder, name)))
         changed = harness._stage_fingerprints(cfg) != fps
         assert changed == (path not in _UNHASHED), path
+
+
+def test_config_with_synth_seed_is_refused(tmp_path):
+    # the corpus is drawn from the master seed; there is no second seed
+    path = tmp_path / "old.yaml"
+    path.write_text("seed: 5\nsynth:\n  seed: 3\n")
+    with pytest.raises(ValueError, match="synth.seed"):
+        load_config(path)
 
 
 def test_default_fingerprints_are_pinned():

@@ -8,15 +8,15 @@ from deskspeaker.synth import SynthCorpus, SynthCorpusConfig, generate_corpus
 
 def _small_cfg(**over):
     base = dict(n_speakers=6, utts_per_speaker=5, frames_per_utt=80,
-                feature_dim=6, seed=3)
+                feature_dim=6)
     base.update(over)
     return SynthCorpusConfig(**base)
 
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
-        a = generate_corpus(_small_cfg())
-        b = generate_corpus(_small_cfg())
+        a = generate_corpus(_small_cfg(), seed=3)
+        b = generate_corpus(_small_cfg(), seed=3)
         assert a.utt_ids == b.utt_ids
         assert a.partition == b.partition
         for fa, fb in zip(a.features, b.features):
@@ -25,39 +25,39 @@ class TestDeterminism:
             np.testing.assert_array_equal(va, vb)
 
     def test_different_seed_differs(self):
-        a = generate_corpus(_small_cfg(seed=3))
-        b = generate_corpus(_small_cfg(seed=4))
+        a = generate_corpus(_small_cfg(), seed=3)
+        b = generate_corpus(_small_cfg(), seed=4)
         assert not np.array_equal(a.features[0].frames, b.features[0].frames)
 
 
 class TestGroundTruth:
     def test_exact_noise_count_without_jitter(self):
         cfg = _small_cfg(noise_frame_fraction=0.30)
-        corpus = generate_corpus(cfg)
+        corpus = generate_corpus(cfg, seed=3)
         expected = round(0.30 * cfg.frames_per_utt)
         for flags in corpus.voice:
             assert int((~flags).sum()) == expected
 
     def test_zero_fraction_means_all_voice(self):
-        corpus = generate_corpus(_small_cfg(noise_frame_fraction=0.0))
+        corpus = generate_corpus(_small_cfg(noise_frame_fraction=0.0), seed=3)
         for flags in corpus.voice:
             assert flags.all()
 
     def test_jitter_varies_noise_counts(self):
         corpus = generate_corpus(_small_cfg(noise_frame_fraction=0.3,
-                                            noise_fraction_jitter=0.2))
+                                            noise_fraction_jitter=0.2), seed=3)
         counts = {int((~flags).sum()) for flags in corpus.voice}
         assert len(counts) > 3
 
     def test_higher_fraction_flags_more_frames(self):
-        lo = generate_corpus(_small_cfg(noise_frame_fraction=0.1))
-        hi = generate_corpus(_small_cfg(noise_frame_fraction=0.4))
+        lo = generate_corpus(_small_cfg(noise_frame_fraction=0.1), seed=3)
+        hi = generate_corpus(_small_cfg(noise_frame_fraction=0.4), seed=3)
         lo_count = sum(int((~f).sum()) for f in lo.voice)
         hi_count = sum(int((~f).sum()) for f in hi.voice)
         assert hi_count > lo_count
 
     def test_energy_separates_voice_from_noise(self):
-        corpus = generate_corpus(_small_cfg(noise_frame_fraction=0.3))
+        corpus = generate_corpus(_small_cfg(noise_frame_fraction=0.3), seed=3)
         voice_e = np.concatenate([f.frames[v, 0]
                                   for f, v in zip(corpus.features, corpus.voice)])
         noise_e = np.concatenate([f.frames[~v, 0]
@@ -73,7 +73,7 @@ class TestGroundTruth:
         # pool noise frames from every speaker; their non-energy features
         # follow one shared small-spread distribution
         corpus = generate_corpus(_small_cfg(noise_frame_fraction=0.4,
-                                            speaker_spread=6.0))
+                                            speaker_spread=6.0), seed=3)
         noise_rows = np.concatenate([f.frames[~v, 1:]
                                      for f, v in zip(corpus.features, corpus.voice)])
         assert np.abs(noise_rows.mean(axis=0)).max() < 0.1
@@ -81,7 +81,7 @@ class TestGroundTruth:
 
     def test_noise_bursts_are_contiguous_runs(self):
         corpus = generate_corpus(_small_cfg(frames_per_utt=200,
-                                            noise_frame_fraction=0.25))
+                                            noise_frame_fraction=0.25), seed=3)
         run_lengths = []
         for flags in corpus.voice:
             noise = ~flags
@@ -95,7 +95,7 @@ class TestGroundTruth:
 
 class TestPartition:
     def test_speaker_disjoint(self):
-        corpus = generate_corpus(_small_cfg())
+        corpus = generate_corpus(_small_cfg(), seed=3)
         train_spk = {corpus.speakers[i] for i in corpus.indices("train")}
         eval_spk = {corpus.speakers[i]
                     for i in corpus.indices("enroll") + corpus.indices("test")}
@@ -103,14 +103,14 @@ class TestPartition:
         assert not train_spk & eval_spk
 
     def test_every_eval_speaker_has_enrollment(self):
-        corpus = generate_corpus(_small_cfg())
+        corpus = generate_corpus(_small_cfg(), seed=3)
         enroll_spk = {corpus.speakers[i] for i in corpus.indices("enroll")}
         test_spk = {corpus.speakers[i] for i in corpus.indices("test")}
         assert test_spk == enroll_spk
 
     def test_enroll_count_per_speaker(self):
         cfg = _small_cfg(enroll_utts_per_speaker=2)
-        corpus = generate_corpus(cfg)
+        corpus = generate_corpus(cfg, seed=3)
         enroll = corpus.indices("enroll")
         per = {}
         for i in enroll:
@@ -118,13 +118,13 @@ class TestPartition:
         assert set(per.values()) == {2}
 
     def test_train_fraction_rounding(self):
-        corpus = generate_corpus(_small_cfg(train_speaker_fraction=0.7))
+        corpus = generate_corpus(_small_cfg(train_speaker_fraction=0.7), seed=3)
         train_spk = {corpus.speakers[i] for i in corpus.indices("train")}
         assert len(train_spk) == round(0.7 * 6)
 
     def test_ids_unique_and_lengths_consistent(self):
         cfg = _small_cfg()
-        corpus = generate_corpus(cfg)
+        corpus = generate_corpus(cfg, seed=3)
         assert len(set(corpus.utt_ids)) == len(corpus) == 30
         for feats, flags in zip(corpus.features, corpus.voice):
             assert feats.frames.shape == (cfg.frames_per_utt, cfg.feature_dim)
@@ -139,8 +139,8 @@ class TestSeparability:
         cfg = SynthCorpusConfig(n_speakers=20, utts_per_speaker=6,
                                 frames_per_utt=120, feature_dim=8,
                                 speaker_spread=5.0, channel_spread=0.5,
-                                noise_frame_fraction=0.0, seed=11)
-        corpus = generate_corpus(cfg)
+                                noise_frame_fraction=0.0)
+        corpus = generate_corpus(cfg, seed=11)
         means = np.array([f.frames[:, 1:].mean(axis=0) for f in corpus.features])
         labels = np.array(corpus.speakers)
         spks = sorted(set(labels))
