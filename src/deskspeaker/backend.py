@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import EmptyInputError, NumericsError
 from .fileio import (read_plda, read_preprocessor, write_plda,
@@ -50,7 +49,7 @@ def fit_preprocessor(vectors: np.ndarray) -> Preprocessor:
     mean = vectors.mean(axis=0)
     centered = vectors - mean
     cov = centered.T @ centered / vectors.shape[0]
-    evals, evecs = eigh(cov)
+    evals, evecs = np.linalg.eigh(cov)
     floor = EIG_FLOOR_FRAC * np.trace(cov) / cov.shape[0]
     evals = np.maximum(evals, max(floor, 1e-300))
     whitener = (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
@@ -99,30 +98,14 @@ def _speaker_groups(labels):
     return list(groups.values())
 
 
-def _plda_loglik(sums, counts, quad_total, n_total, subspace, within) -> float:
-    """Marginal log-likelihood of centered vectors under the current model."""
-    dim = within.shape[0]
-    within_inv = np.linalg.inv(within)
-    _, logdet_w = np.linalg.slogdet(within)
-    proj = subspace.T @ within_inv @ subspace  # (S, S)
-    total = -0.5 * (n_total * (dim * _LOG_2PI + logdet_w) + quad_total)
-    if subspace.shape[1] == 0:
-        return float(total)
-    for s, n in zip(sums, counts):
-        p = np.eye(subspace.shape[1]) + n * proj
-        _, logdet_p = np.linalg.slogdet(p)
-        g = subspace.T @ (within_inv @ s)
-        total += -0.5 * logdet_p + 0.5 * float(g @ np.linalg.solve(p, g))
-    return float(total)
-
-
 def train_plda(vectors: np.ndarray, labels, subspace_dim: int,
                n_iters: int = 10, seed: int = 0) -> PldaModel:
     """EM for the speaker subspace and within-class covariance.
 
     Initialization is deterministic (between-class scatter eigenvectors);
     the seed only matters if the scatter is rank-deficient, where tiny seeded
-    jitter breaks ties. Per-iteration marginal log-likelihood is recorded.
+    jitter breaks ties. ``em_loglik[k]`` is the marginal log-likelihood of
+    the training vectors under the model after k iterations.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     n_total, dim = vectors.shape
@@ -132,17 +115,16 @@ def train_plda(vectors: np.ndarray, labels, subspace_dim: int,
     centered = vectors - mean
     groups = _speaker_groups(labels)
 
-    sums = [centered[idx].sum(axis=0) for idx in groups]
-    counts = [len(idx) for idx in groups]
-    quad_rows = centered  # for Lambda updates and loglik
+    sums = np.array([centered[idx].sum(axis=0) for idx in groups])
+    counts = np.array([len(idx) for idx in groups], dtype=np.float64)
     total_scatter = centered.T @ centered
 
-    class_means = np.array([centered[idx].mean(axis=0) for idx in groups])
+    class_means = sums / counts[:, None]
     between = (class_means.T * counts) @ class_means / n_total
     within = (total_scatter - (class_means.T * counts) @ class_means) / n_total
     within += np.eye(dim) * (1e-6 * np.trace(within) / dim + 1e-12)
 
-    evals, evecs = eigh(between)
+    evals, evecs = np.linalg.eigh(between)
     order = np.argsort(evals)[::-1][:subspace_dim]
     init_scale = np.sqrt(np.maximum(evals[order], 1e-8))
     subspace = evecs[:, order] * init_scale
@@ -151,31 +133,29 @@ def train_plda(vectors: np.ndarray, labels, subspace_dim: int,
 
     history = []
     for _ in range(n_iters):
+        # y_s | vectors ~ N(P_s^-1 g_s, P_s^-1), P_s = I + n_s V' Lambda^-1 V,
+        # g_s = V' Lambda^-1 (sum of speaker s's centered vectors)
         within_inv = np.linalg.inv(within)
-        proj = subspace.T @ within_inv @ subspace
-        quad_total = float((quad_rows @ within_inv * quad_rows).sum())
-        history.append(_plda_loglik(sums, counts, quad_total, n_total,
-                                    subspace, within))
+        _, logdet_w = np.linalg.slogdet(within)
+        quad_total = float((centered @ within_inv * centered).sum())
+        proj_v = within_inv @ subspace
+        precision = np.eye(subspace_dim) + counts[:, None, None] * (subspace.T @ proj_v)
+        post_cov = np.linalg.inv(precision)
+        g = sums @ proj_v
+        ey = (post_cov @ g[:, :, None])[:, :, 0]
+        _, logdet_p = np.linalg.slogdet(precision)
+        history.append(float(-0.5 * (n_total * (dim * _LOG_2PI + logdet_w) + quad_total)
+                             - 0.5 * logdet_p.sum() + 0.5 * (g * ey).sum()))
         if subspace_dim == 0:
             within = total_scatter / n_total
             continue
-        r_yy = np.zeros((subspace_dim, subspace_dim))
-        r_vy = np.zeros((dim, subspace_dim))
-        cross = np.zeros((subspace_dim, dim))
-        for s, n in zip(sums, counts):
-            p = np.eye(subspace_dim) + n * proj
-            g = subspace.T @ (within_inv @ s)
-            ey = np.linalg.solve(p, g)
-            eyy = np.linalg.inv(p) + np.outer(ey, ey)
-            r_yy += n * eyy
-            r_vy += np.outer(s, ey)
-            cross += np.outer(ey, s)
-        new_subspace = np.linalg.solve(r_yy.T, r_vy.T).T
-        within = (total_scatter - new_subspace @ cross - cross.T @ new_subspace.T
-                  + new_subspace @ r_yy @ new_subspace.T) / n_total
+        r_yy = np.tensordot(counts, post_cov + ey[:, :, None] * ey[:, None, :], axes=1)
+        r_vy = sums.T @ ey
+        subspace = np.linalg.solve(r_yy.T, r_vy.T).T
+        within = (total_scatter - subspace @ r_vy.T - r_vy @ subspace.T
+                  + subspace @ r_yy @ subspace.T) / n_total
         within = 0.5 * (within + within.T)
         within += np.eye(dim) * 1e-12
-        subspace = new_subspace
 
     model = PldaModel(mean, subspace, within)
     model.em_loglik = np.asarray(history)

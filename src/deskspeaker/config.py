@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import yaml
 
+from .errors import FormatError
 from .synth import SynthCorpusConfig
 
 KNOWN_SYSTEMS = ("S1", "S2", "S3", "S4", "S5", "S6")
@@ -125,7 +126,10 @@ def _merge(obj, tree: dict, path: str):
 
 def load_config(path) -> PipelineConfig:
     with open(path) as f:
-        tree = yaml.safe_load(f) or {}
+        try:
+            tree = yaml.safe_load(f) or {}
+        except yaml.YAMLError as exc:
+            raise FormatError(f"{path}: malformed YAML: {exc}") from exc
     if not isinstance(tree, dict):
         raise ValueError(f"{path}: config must be a key-value tree")
     cfg = PipelineConfig()

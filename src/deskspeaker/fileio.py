@@ -315,7 +315,9 @@ def read_scores(path):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != 3:
-                raise FormatError(f"{path}: bad score line {line!r}")
-            scored.append((parts[0], parts[1], float(parts[2])))
+            try:
+                enroll, test, score = parts
+                scored.append((enroll, test, float(score)))
+            except ValueError:
+                raise FormatError(f"{path}: bad score line {line!r}") from None
     return scored

@@ -180,8 +180,10 @@ def _read_manifest(path):
     rows = []
     with open(path) as f:
         for line in f:
-            utt, spk, part = line.split()
-            rows.append((utt, spk, part))
+            row = tuple(line.split())
+            if len(row) != 3:
+                raise FormatError(f"{path}: bad manifest line {line!r}")
+            rows.append(row)
     if not rows:
         raise FormatError(f"{path}: empty manifest")
     return rows

@@ -11,8 +11,9 @@ statistics. Per-frame weights w_t scale each frame's contribution by L * w_t,
 so uniform weights (1/L) reproduce the unweighted statistics exactly and the
 extraction equation is unchanged.
 
-The linear systems are solved through a Cholesky factorization of the SPD
-posterior precision; no explicit inverse is formed.
+All utterances' posteriors are computed in one stacked pass: the batched
+Cholesky factor L of the precision gives its log-determinant, and the
+inverse of L gives the posterior mean and covariance.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DegenerateWeightsError, NumericsError
+from .errors import DegenerateWeightsError, EmptyInputError, NumericsError
 from .fileio import read_tvm, write_tvm
 from .ubm import DiagGmm, gmm_posteriors
 
@@ -86,18 +86,24 @@ def weighted_stats(frames: np.ndarray, post: np.ndarray, gmm: DiagGmm,
     return SufficientStats(n, first)
 
 
-def _posterior(stats: SufficientStats, tvm: TotalVariabilityModel):
-    """Cholesky factor of the posterior precision and the projected stats."""
-    n_rep = np.repeat(stats.n, tvm.sigma.size // stats.n.size)
-    scaled = tvm.t_matrix * (n_rep / tvm.sigma)[:, None]
-    precision = np.eye(tvm.rank) + tvm.t_matrix.T @ scaled
-    precision = 0.5 * (precision + precision.T)
-    b = tvm.t_matrix.T @ (stats.first.ravel() / tvm.sigma)
+def _posteriors(counts: np.ndarray, first: np.ndarray, tvm: TotalVariabilityModel):
+    """Posteriors of U utterances from their (U, C) counts and (U, C*D) centered
+    first-order statistics: the Cholesky factors of the precisions
+    I + sum_c n_uc T_c' S_c^-1 T_c (from a (C, R, R) table), the projected
+    statistics b = T' S^-1 F, the posterior means and the covariances."""
+    n_comp, rank = counts.shape[1], tvm.rank
+    scaled = tvm.t_matrix / tvm.sigma[:, None]
+    table = (tvm.t_matrix.reshape(n_comp, -1, rank).transpose(0, 2, 1)
+             @ scaled.reshape(n_comp, -1, rank))
+    precision = np.eye(rank) + (counts @ table.reshape(n_comp, -1)).reshape(-1, rank, rank)
     try:
-        factor = cho_factor(precision)
+        chol = np.linalg.cholesky(precision)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
         raise NumericsError(f"posterior precision not SPD: {exc}") from exc
-    return factor, b
+    b = first @ scaled
+    inv_chol = np.linalg.inv(chol)
+    cov = inv_chol.transpose(0, 2, 1) @ inv_chol
+    return chol, b, (cov @ b[:, :, None])[:, :, 0], cov
 
 
 def extract_ivector(stats: SufficientStats, tvm: TotalVariabilityModel) -> np.ndarray:
@@ -105,8 +111,7 @@ def extract_ivector(stats: SufficientStats, tvm: TotalVariabilityModel) -> np.nd
     if stats.first.size != tvm.sigma.size:
         raise NumericsError(
             f"stats dim {stats.first.size} does not match model dim {tvm.sigma.size}")
-    factor, b = _posterior(stats, tvm)
-    return cho_solve(factor, b)
+    return _posteriors(stats.n[None, :], stats.first.reshape(1, -1), tvm)[2][0]
 
 
 def train_tvm(stats_list, gmm: DiagGmm, rank: int, n_iters: int = 10,
@@ -116,37 +121,29 @@ def train_tvm(stats_list, gmm: DiagGmm, rank: int, n_iters: int = 10,
     Records the per-iteration marginal log-likelihood of the statistics
     (up to T-independent constants) in ``em_objective``.
     """
+    if not stats_list:
+        raise EmptyInputError("train_tvm needs the statistics of at least one utterance")
     mean = gmm.means.ravel().copy()
     sigma = gmm.variances.ravel().copy()
-    cd = mean.size
-    dim = gmm.dim
+    n_comp, dim = gmm.n_components, gmm.dim
     rng = np.random.default_rng(seed)
-    t_matrix = rng.standard_normal((cd, rank)) * np.sqrt(sigma)[:, None]
+    t_matrix = rng.standard_normal((mean.size, rank)) * np.sqrt(sigma)[:, None]
     tvm = TotalVariabilityModel(mean, t_matrix, sigma)
+    counts = np.array([stats.n for stats in stats_list])
+    first = np.array([stats.first.ravel() for stats in stats_list])
 
     history = []
-    n_comp = gmm.n_components
     for _ in range(n_iters):
-        objective = 0.0
-        acc_a = np.zeros((n_comp, rank, rank))
-        acc_c = np.zeros((cd, rank))
-        for stats in stats_list:
-            factor, b = _posterior(stats, tvm)
-            phi = cho_solve(factor, b)
-            cov = cho_solve(factor, np.eye(rank))
-            second_moment = cov + np.outer(phi, phi)
-            # -0.5 log|precision| + 0.5 b' precision^-1 b, via the Cholesky diag
-            objective += -np.log(np.diag(factor[0])).sum() + 0.5 * float(b @ phi)
-            acc_a += stats.n[:, None, None] * second_moment[None, :, :]
-            acc_c += np.outer(stats.first.ravel(), phi)
-        history.append(objective)
-        new_t = np.empty_like(tvm.t_matrix)
-        for c in range(n_comp):
-            a_c = acc_a[c]
-            reg = 1e-10 * (1.0 + np.trace(a_c) / rank)
-            a_c = a_c + reg * np.eye(rank)
-            block = acc_c[c * dim:(c + 1) * dim]
-            new_t[c * dim:(c + 1) * dim] = np.linalg.solve(a_c, block.T).T
-        tvm = TotalVariabilityModel(mean, new_t, sigma)
+        chol, b, phi, cov = _posteriors(counts, first, tvm)
+        # -0.5 log|precision| + 0.5 b' precision^-1 b, via the Cholesky diagonal
+        history.append(float(-np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()
+                             + 0.5 * (b * phi).sum()))
+        second_moment = cov + phi[:, :, None] * phi[:, None, :]
+        acc_a = (counts.T @ second_moment.reshape(len(counts), -1)).reshape(n_comp, rank, rank)
+        reg = 1e-10 * (1.0 + np.trace(acc_a, axis1=1, axis2=2) / rank)
+        acc_a += reg[:, None, None] * np.eye(rank)
+        acc_c = (first.T @ phi).reshape(n_comp, dim, rank)
+        new_t = np.linalg.solve(acc_a, acc_c.transpose(0, 2, 1)).transpose(0, 2, 1)
+        tvm = TotalVariabilityModel(mean, new_t.reshape(-1, rank), sigma)
     tvm.em_objective = np.asarray(history)
     return tvm

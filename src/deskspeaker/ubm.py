@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EmptyInputError
 from .fileio import read_gmm, write_gmm
@@ -45,6 +44,16 @@ class DiagGmm:
         return cls(*read_gmm(path))
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) in SciPy's form: the row maxima (all of them,
+    when tied) are split out and the other terms enter through log1p."""
+    top = a.max(axis=1, keepdims=True)
+    tied = a == top
+    count = tied.sum(axis=1, keepdims=True, dtype=np.float64)
+    rest = np.exp(np.where(tied, -np.inf, a) - top).sum(axis=1, keepdims=True)
+    return (np.log1p(rest / count) + np.log(count) + top)[:, 0]
+
+
 def _log_joint(frames: np.ndarray, gmm: DiagGmm, squares=None) -> np.ndarray:
     """Per-frame, per-component log w_c N(x; mu_c, diag(var_c)). Shape (N, C).
     ``squares`` is ``frames ** 2`` when the caller already has it."""
@@ -61,14 +70,14 @@ def gmm_posteriors(frames: np.ndarray, gmm: DiagGmm) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
     single = frames.ndim == 1
     lj = _log_joint(np.atleast_2d(frames), gmm)
-    post = np.exp(lj - logsumexp(lj, axis=1, keepdims=True))
+    post = np.exp(lj - _logsumexp(lj)[:, None])
     return post[0] if single else post
 
 
 def gmm_loglik(frames: np.ndarray, gmm: DiagGmm) -> float:
     """Total log-likelihood of a frame batch under the mixture."""
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    return float(logsumexp(_log_joint(frames, gmm), axis=1).sum())
+    return float(_logsumexp(_log_joint(frames, gmm)).sum())
 
 
 def _blocks(n: int) -> list[slice]:
@@ -137,7 +146,7 @@ def train_gmm(frames: np.ndarray, n_components: int, n_iters: int = 20,
             block = frames[s]
             squares = block ** 2
             lj = _log_joint(block, gmm, squares)
-            per_frame = logsumexp(lj, axis=1)
+            per_frame = _logsumexp(lj)
             loglik += per_frame.sum()
             post = np.exp(lj - per_frame[:, None])
             counts += post.sum(axis=0)

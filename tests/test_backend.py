@@ -108,6 +108,25 @@ class TestPldaTraining:
         angles = np.linalg.svd(qa.T @ qb, compute_uv=False)
         assert angles.min() > 0.98
 
+    @pytest.mark.parametrize("subspace_dim", [0, 2])
+    def test_loglik_is_joint_density_of_each_speaker(self, subspace_dim):
+        # em_loglik[k] scores the model that k iterations leave behind
+        rng = np.random.default_rng(116)
+        vectors, labels, _, _ = _plda_sample(rng, n_speakers=6, per=3, dim=4)
+        n_iters = 4
+        history = train_plda(vectors, labels, subspace_dim, n_iters).em_loglik
+        speakers = np.array(labels)
+        for k in range(n_iters):
+            model = train_plda(vectors, labels, subspace_dim, k)
+            between = model.speaker_subspace @ model.speaker_subspace.T
+            total = 0.0
+            for spk in np.unique(speakers):
+                x = vectors[speakers == spk]
+                n = x.shape[0]
+                cov = np.kron(np.ones((n, n)), between) + np.kron(np.eye(n), model.within_cov)
+                total += multivariate_normal(np.tile(model.mean, n), cov).logpdf(x.ravel())
+            assert history[k] == pytest.approx(total, rel=1e-10)
+
     def test_determinism(self):
         rng = np.random.default_rng(112)
         vectors, labels, _, _ = _plda_sample(rng, n_speakers=10, per=4)

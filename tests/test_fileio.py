@@ -271,6 +271,14 @@ class TestTextSidecars:
         with pytest.raises(FormatError):
             fileio.read_trial_list(path)
 
+    @pytest.mark.parametrize("line", ["e1 t2 high\n", "e1 t2\n"],
+                             ids=["bad-score", "two-fields"])
+    def test_scores_bad_line(self, tmp_path, line):
+        path = tmp_path / "scores.txt"
+        path.write_text("e1 t1 1.5\n" + line)
+        with pytest.raises(FormatError, match="scores.txt"):
+            fileio.read_scores(path)
+
     def test_scores_round_trip(self, tmp_path):
         scored = [("e1", "t1", 1.25), ("e2", "t9", -3.5)]
         path = tmp_path / "scores.txt"

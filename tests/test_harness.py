@@ -7,8 +7,12 @@ utterances, 2 training epochs) so the whole pipeline finishes in seconds.
 import argparse
 import dataclasses
 import functools
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,6 +456,17 @@ def test_load_report_rejects_malformed_file(tmp_path, text):
         load_report(tmp_path)
 
 
+@pytest.mark.parametrize("text", [
+    "u1 spk1 train\nu2 spk1\n",
+    "u1 spk1 train\n\nu2 spk1 train\n",
+], ids=["two-fields", "blank-line"])
+def test_read_manifest_rejects_malformed_line(tmp_path, text):
+    path = tmp_path / "manifest.tsv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="manifest.tsv"):
+        harness._read_manifest(path)
+
+
 def test_stage_subset_returns_none(tiny_run):
     cfg, _, _ = tiny_run
     assert run_pipeline(cfg, stages=["synth"]) is None
@@ -563,6 +578,25 @@ def test_cli_propagates_stage_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("deskspeaker: ")
+
+
+def test_cli_rejects_malformed_yaml(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("ubm: {n_components: 4\n")
+    code = main(["synth", "--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("deskspeaker: ")
+    assert "bad.yaml" in captured.err
+
+
+def test_package_imports_without_scipy():
+    src = Path(harness.__file__).resolve().parents[1]
+    code = ("import sys, deskspeaker, deskspeaker.harness, deskspeaker.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_overrides_systems_and_seed(tmp_path, capsys):

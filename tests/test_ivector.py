@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from deskspeaker.errors import DegenerateWeightsError, NumericsError
+from deskspeaker.errors import (DegenerateWeightsError, EmptyInputError,
+                                NumericsError)
 from deskspeaker.ivector import (SufficientStats, TotalVariabilityModel,
                                  accumulate_stats, extract_ivector, train_tvm)
 from deskspeaker.ubm import DiagGmm, gmm_posteriors
@@ -35,6 +36,35 @@ def _stats_oracle(frames, gmm, weights=None):
             n[c] += post[c]
             first[c] += post[c] * (frames[t] - gmm.means[c])
     return n, first
+
+
+def _tvm_loop_oracle(stats_list, gmm, rank, n_iters, seed):
+    """EM for T one utterance and one component at a time, through SciPy's
+    Cholesky solves."""
+    from scipy.linalg import cho_factor, cho_solve
+    sigma, dim = gmm.variances.ravel(), gmm.dim
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((sigma.size, rank)) * np.sqrt(sigma)[:, None]
+    history = []
+    for _ in range(n_iters):
+        objective = 0.0
+        acc_a = np.zeros((gmm.n_components, rank, rank))
+        acc_c = np.zeros((sigma.size, rank))
+        for stats in stats_list:
+            scaled = t * (np.repeat(stats.n, dim) / sigma)[:, None]
+            factor = cho_factor(np.eye(rank) + t.T @ scaled)
+            b = t.T @ (stats.first.ravel() / sigma)
+            phi = cho_solve(factor, b)
+            objective += -np.log(np.diag(factor[0])).sum() + 0.5 * b @ phi
+            second_moment = cho_solve(factor, np.eye(rank)) + np.outer(phi, phi)
+            acc_a += stats.n[:, None, None] * second_moment
+            acc_c += np.outer(stats.first.ravel(), phi)
+        history.append(objective)
+        for c in range(gmm.n_components):
+            a_c = acc_a[c] + 1e-10 * (1.0 + np.trace(acc_a[c]) / rank) * np.eye(rank)
+            rows = slice(c * dim, (c + 1) * dim)
+            t[rows] = np.linalg.solve(a_c, acc_c[rows].T).T
+    return t, np.asarray(history)
 
 
 class TestStatistics:
@@ -173,6 +203,21 @@ class TestTvmTraining:
         tvm = train_tvm(stats, gmm, rank=3, n_iters=10, seed=4)
         assert tvm.em_objective.shape == (10,)
         assert np.diff(tvm.em_objective).min() >= -1e-6
+
+    def test_matches_per_utterance_loop(self):
+        rng = np.random.default_rng(95)
+        gmm = _random_gmm(rng, 3, 2)
+        stats = self._corpus_stats(rng, gmm, n_utts=25)
+        stats.append(SufficientStats(np.zeros(3), np.zeros((3, 2))))
+        tvm = train_tvm(stats, gmm, rank=3, n_iters=6, seed=2)
+        t_matrix, objective = _tvm_loop_oracle(stats, gmm, 3, 6, seed=2)
+        np.testing.assert_allclose(tvm.t_matrix, t_matrix, rtol=1e-10)
+        np.testing.assert_allclose(tvm.em_objective, objective, rtol=1e-10)
+
+    def test_no_statistics_rejected(self):
+        gmm = _random_gmm(np.random.default_rng(96))
+        with pytest.raises(EmptyInputError):
+            train_tvm([], gmm, rank=2)
 
     def test_determinism(self):
         rng = np.random.default_rng(91)

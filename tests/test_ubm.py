@@ -31,6 +31,16 @@ def _log_density_oracle(x, gmm):
     return out
 
 
+class TestLogSumExp:
+    def test_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(66)
+        blocks = [rng.standard_normal((4096, 16)) * scale for scale in (0.1, 3.0, 300.0)]
+        blocks.append(np.array([[0.0, 0.0, -1.0], [2.5, 2.5, 2.5], [-4.0, 1.0, 1.0]]))
+        blocks.append(rng.standard_normal((40, 1)) * 10.0)
+        for a in blocks:
+            assert ubm._logsumexp(a).tobytes() == logsumexp(a, axis=1).tobytes()
+
+
 class TestPosteriors:
     def test_match_per_frame_oracle(self):
         rng = np.random.default_rng(60)
