@@ -3,10 +3,9 @@
 from .network import (DEFAULT_TDNN_OFFSETS, EmbedNetConfig, EmbedNetParams,
                       Linear, TdnnLayer, chunk_loss, chunk_loss_and_grads,
                       embed_hidden, export_attention_weights,
-                      extract_embedding, forward_logits, get_param_vector,
-                      grads_to_vector, hidden_attention_weights,
-                      init_embed_net, kink_margin, load_embed_net,
-                      save_embed_net, set_param_vector, softmax_cross_entropy,
+                      extract_embedding, forward_logits,
+                      hidden_attention_weights, init_embed_net, kink_margin,
+                      load_embed_net, save_embed_net, softmax_cross_entropy,
                       tdnn_forward)
 from .ops import (AttentionParams, BatchNorm, PooledStats, attention_scores,
                   attention_weights, combine_weights, pool_stats,
@@ -21,6 +20,5 @@ __all__ = [
     "hidden_attention_weights", "extract_embedding",
     "export_attention_weights", "forward_logits", "train_embed_network",
     "init_embed_net", "save_embed_net", "load_embed_net", "chunk_loss",
-    "chunk_loss_and_grads", "softmax_cross_entropy", "get_param_vector",
-    "set_param_vector", "grads_to_vector", "kink_margin",
+    "chunk_loss_and_grads", "softmax_cross_entropy", "kink_margin",
 ]

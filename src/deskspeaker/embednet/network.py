@@ -216,7 +216,7 @@ def forward_logits(frames, params: EmbedNetParams, weights=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# parameter flattening (fixed order; norm buffers are not parameters)
+# named parameters (_param_items: fixed order; norm buffers are not parameters)
 
 def _param_items(params: EmbedNetParams):
     for i, layer in enumerate(params.tdnn):
@@ -242,30 +242,6 @@ def _param_items(params: EmbedNetParams):
     yield "norm2.beta", params.norm2.beta
     yield "out.w", params.out.weight
     yield "out.b", params.out.bias
-
-
-def get_param_vector(params: EmbedNetParams) -> np.ndarray:
-    return np.concatenate([np.ravel(arr) for _, arr in _param_items(params)])
-
-
-def set_param_vector(params: EmbedNetParams, vec: np.ndarray):
-    pos = 0
-    for _, arr in _param_items(params):
-        n = arr.size
-        arr[...] = np.asarray(vec[pos:pos + n]).reshape(arr.shape)
-        pos += n
-    if pos != vec.size:
-        raise FormatError(f"parameter vector has {vec.size} entries, expected {pos}")
-
-
-def grads_to_vector(params: EmbedNetParams, grads: dict[str, np.ndarray]) -> np.ndarray:
-    # Parameters outside the active route (attention under uniform pooling)
-    # get zero gradient rather than a missing entry.
-    parts = []
-    for name, arr in _param_items(params):
-        g = grads.get(name)
-        parts.append(np.zeros(arr.size) if g is None else np.ravel(g))
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

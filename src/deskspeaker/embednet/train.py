@@ -16,8 +16,8 @@ import numpy as np
 
 from ..errors import EmptyInputError, NumericsError
 from .network import (EmbedNetConfig, EmbedNetParams, _as_frames,
-                      chunk_loss_and_grads, get_param_vector, grads_to_vector,
-                      init_embed_net, relu_inputs, relu_sites, set_param_vector)
+                      _param_items, chunk_loss_and_grads, init_embed_net,
+                      relu_inputs, relu_sites)
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +52,8 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig) -> EmbedNetPara
     if not frames:
         raise EmptyInputError("empty training corpus")
     labels = [int(lb) for lb in labels]
+    if len(labels) != len(frames):
+        raise ValueError(f"{len(labels)} labels for {len(frames)} utterances")
     if min(labels) < 0 or max(labels) >= cfg.n_speakers:
         raise ValueError(f"labels must lie in [0, {cfg.n_speakers})")
 
@@ -90,7 +92,11 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig) -> EmbedNetPara
         layer.bias -= low
         _update_norms(params, {site: [z - low]}, momentum=1.0)
 
-    velocity = np.zeros_like(get_param_vector(params))
+    # Momentum SGD on each named parameter in place. A parameter outside the
+    # active route (the attention head under uniform pooling) gets no
+    # gradient entry, so its sum stays zero.
+    items = list(_param_items(params))
+    velocity = {name: np.zeros_like(arr) for name, arr in items}
     history = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr * (cfg.lr_decay ** (epoch // cfg.decay_every))
@@ -98,17 +104,21 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig) -> EmbedNetPara
         epoch_loss = 0.0
         for start in range(0, n_utts, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            grad_sum = np.zeros_like(velocity)
+            grad_sum = {name: np.zeros_like(arr) for name, arr in items}
             collected = {}
             for i in batch:
                 chunk = _sample_chunk(frames[i], cfg.chunk_len, rng)
                 loss, grads, acts = chunk_loss_and_grads(params, chunk, labels[i], mode)
                 epoch_loss += loss
-                grad_sum += grads_to_vector(params, grads)
+                for name, g in grads.items():
+                    grad_sum[name] += g
                 for key, arr in acts.items():
                     collected.setdefault(key, []).append(arr)
-            velocity = cfg.momentum * velocity + grad_sum / len(batch)
-            set_param_vector(params, get_param_vector(params) - lr * velocity)
+            for name, arr in items:
+                v = velocity[name]
+                v *= cfg.momentum
+                v += grad_sum[name] / len(batch)
+                arr -= lr * v
             _update_norms(params, collected, cfg.bn_momentum)
         history.append(epoch_loss / n_utts)
         if not np.isfinite(history[-1]):

@@ -64,8 +64,9 @@ def _read_frame_matrix(path, magic: bytes):
         if got != magic:
             raise FormatError(f"{path}: expected magic {magic!r}, found {got!r}")
         payload = np.fromfile(f, dtype="<f4", count=n_rows * n_cols)
-    if payload.size != n_rows * n_cols:
-        raise FormatError(f"{path}: truncated payload")
+        if payload.size != n_rows * n_cols:
+            raise FormatError(f"{path}: truncated payload")
+        _check_end(f, path)
     return payload.reshape(n_rows, n_cols).astype(np.float64), float(period)
 
 

@@ -289,8 +289,10 @@ def _stage_train_embed(cfg: PipelineConfig, out: Path, echo):
         params = train_embed_network(utts, labels, net_cfg)
         save_embed_net(d / f"{kind}.emb1", params)
         if echo:
-            loss = params.train_loss[-1] if params.train_loss is not None else float("nan")
-            echo(f"  {kind}: {ecfg.epochs} epochs, final loss {loss:.4f} "
+            # zero epochs train the warm start only: there is no final loss
+            loss = (f"final loss {params.train_loss[-1]:.4f}"
+                    if len(params.train_loss) else "no final loss")
+            echo(f"  {kind}: {ecfg.epochs} epochs, {loss} "
                  f"({time.monotonic() - t0:.1f}s)")
 
 

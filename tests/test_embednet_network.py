@@ -1,6 +1,7 @@
 """Network tests: splice/TDNN oracles, embedding routes, gradients, I/O."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,11 +13,10 @@ from deskspeaker.embednet import (DEFAULT_TDNN_OFFSETS, EmbedNetConfig,
                                   attention_scores, attention_weights,
                                   chunk_loss, chunk_loss_and_grads,
                                   export_attention_weights, extract_embedding,
-                                  forward_logits, get_param_vector,
-                                  grads_to_vector, init_embed_net, kink_margin,
+                                  forward_logits, init_embed_net, kink_margin,
                                   load_embed_net, pool_weighted_stats,
-                                  save_embed_net, set_param_vector,
-                                  tdnn_forward, train_embed_network)
+                                  save_embed_net, tdnn_forward,
+                                  train_embed_network)
 from deskspeaker.errors import (FormatError, MissingAttentionError,
                                 NumericsError, TooShortUtteranceError)
 
@@ -170,23 +170,38 @@ class TestGradients:
             pytest.fail("no well-conditioned instance found")
         label = 1
         _, grads, _ = chunk_loss_and_grads(params, x, label, mode)
-        g = grads_to_vector(params, grads)
-        p0 = get_param_vector(params)
         h = 1e-5
-        fd = np.zeros_like(g)
-        for k in range(p0.size):
-            for sign, store in ((1.0, 1), (-1.0, -1)):
-                p = p0.copy()
-                p[k] += sign * h
-                set_param_vector(params, p)
-                fd[k] += store * chunk_loss(params, x, label, mode)
-            fd[k] /= 2 * h
-        set_param_vector(params, p0)
-        # denominator floor 1e-5 sits above the FD roundoff floor
-        # (ulp(loss)/2h), so zero-gradient components compare at 1e-9 abs
-        rel = np.abs(g - fd) / np.maximum(1e-5, np.maximum(np.abs(g),
-                                                           np.abs(fd)))
-        assert rel.max() < 1e-4
+        worst = 0.0
+        for name, arr in network._param_items(params):
+            # parameters off the active route have zero gradient
+            g = np.ravel(grads.get(name, np.zeros(arr.shape)))
+            fd = np.zeros(arr.size)
+            for j in range(arr.size):
+                p0 = arr.flat[j]
+                arr.flat[j] = p0 + h
+                up = chunk_loss(params, x, label, mode)
+                arr.flat[j] = p0 - h
+                fd[j] = (up - chunk_loss(params, x, label, mode)) / (2 * h)
+                arr.flat[j] = p0
+            # denominator floor 1e-5 sits above the FD roundoff floor
+            # (ulp(loss)/2h), so zero-gradient components compare at 1e-9 abs
+            rel = np.abs(g - fd) / np.maximum(1e-5, np.maximum(np.abs(g),
+                                                               np.abs(fd)))
+            worst = max(worst, rel.max())
+        assert worst < 1e-4
+
+    @pytest.mark.parametrize("attentive,mode", [(True, "internal"),
+                                                (True, "uniform"),
+                                                (False, "uniform")])
+    def test_gradient_names_match_parameter_names(self, attentive, mode):
+        # the SGD step adds each gradient into its parameter by name, so a
+        # missing or misnamed entry would silently freeze that parameter
+        rng = np.random.default_rng(60)
+        params = _toy_params(rng, attentive=attentive)
+        _, grads, _ = chunk_loss_and_grads(params, rng.standard_normal((9, 3)), 0, mode)
+        want = {name: arr.shape for name, arr in network._param_items(params)
+                if not (attentive and mode == "uniform" and name.startswith("att."))}
+        assert {name: np.shape(g) for name, g in grads.items()} == want
 
     @pytest.mark.parametrize("attentive", [True, False])
     def test_training_functions_reject_unknown_modes(self, attentive):
@@ -245,8 +260,12 @@ class TestSaveLoad:
         path = tmp_path / "net.emb1"
         save_embed_net(path, params)
         loaded = load_embed_net(path)
-        expected = get_param_vector(params).astype(np.float32).astype(np.float64)
-        np.testing.assert_array_equal(get_param_vector(loaded), expected)
+        want = dict(network._param_items(params))
+        got = dict(network._param_items(loaded))
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            np.testing.assert_array_equal(
+                got[name], arr.astype(np.float32).astype(np.float64), err_msg=name)
         assert loaded.attention is not None
         assert [l.offsets for l in loaded.tdnn] == [l.offsets for l in params.tdnn]
 
@@ -286,8 +305,9 @@ class TestTrainingDeterminism:
                              chunk_len=12, batch_size=4, seed=77)
         a = train_embed_network(utts, labels, cfg)
         b = train_embed_network(utts, labels, cfg)
-        np.testing.assert_array_equal(get_param_vector(a),
-                                      get_param_vector(b))
+        for (name, arr_a), (_, arr_b) in zip(network._param_items(a),
+                                             network._param_items(b), strict=True):
+            np.testing.assert_array_equal(arr_a, arr_b, err_msg=name)
         np.testing.assert_array_equal(a.train_loss, b.train_loss)
 
     def test_different_seed_differs(self):
@@ -298,7 +318,9 @@ class TestTrainingDeterminism:
                   batch_size=4)
         a = train_embed_network(utts, labels, EmbedNetConfig(seed=1, **kw))
         b = train_embed_network(utts, labels, EmbedNetConfig(seed=2, **kw))
-        assert not np.array_equal(get_param_vector(a), get_param_vector(b))
+        assert not all(np.array_equal(arr_a, arr_b) for (_, arr_a), (_, arr_b)
+                       in zip(network._param_items(a), network._param_items(b),
+                              strict=True))
 
     def test_plain_and_attentive_share_init_and_chunks(self, monkeypatch):
         # one seed for both kinds: every draw except the attention head's is
@@ -380,6 +402,11 @@ class TestTrainingDeterminism:
                              tdnn_offsets=((-1, 0, 1), (0,)), epochs=1)
         with pytest.raises(ValueError):
             train_embed_network(utts, labels, cfg)
+        # one label per utterance, checked before training starts
+        cfg = dataclasses.replace(cfg, n_speakers=3)
+        for bad in (labels + [0], labels[:-1]):
+            with pytest.raises(ValueError, match="labels for"):
+                train_embed_network(utts, bad, cfg)
 
     def test_divergence_raises_instead_of_returning_nan(self):
         # an absurd learning rate overflows the parameters within an epoch

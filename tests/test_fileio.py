@@ -208,6 +208,31 @@ def test_model_file_with_trailing_bytes_raises_format_error(tmp_path, write, rea
         read(path)
 
 
+def _frame_files():
+    frames = np.arange(6.0).reshape(3, 2)
+    yield ("AFS1", lambda p: fileio.write_features(p, AcousticFrameSequence(frames, 0.01)),
+           fileio.read_features, "")
+    yield ("VPS1", lambda p: fileio.write_posteriors(p, np.array([0.1, 0.5, 0.9])),
+           fileio.read_posteriors, "")
+    yield ("FWT1", lambda p: fileio.write_frame_weights(p, np.array([1.0, 2.0, 3.0])),
+           fileio.read_frame_weights, "")
+    yield ("vector-set", lambda p: fileio.write_vector_set(p, ["a", "b", "c"], frames),
+           fileio.read_vector_set, ".afs")
+
+
+@pytest.mark.parametrize("write, read, suffix", [
+    pytest.param(write, read, suffix, id=kind)
+    for kind, write, read, suffix in _frame_files()])
+def test_frame_file_with_trailing_bytes_raises_format_error(tmp_path, write, read, suffix):
+    path = tmp_path / "frames"
+    write(path)
+    read(path)
+    matrix = tmp_path / f"frames{suffix}"
+    matrix.write_bytes(matrix.read_bytes() + struct.pack("<f", 0.0))
+    with pytest.raises(FormatError, match="trailing"):
+        read(path)
+
+
 def _f64(*arrays) -> bytes:
     values = [float(v) for arr in arrays for v in np.ravel(arr)]
     return struct.pack(f"<{len(values)}d", *values)

@@ -7,6 +7,7 @@ utterances, 2 training epochs) so the whole pipeline finishes in seconds.
 import argparse
 import dataclasses
 import functools
+import importlib
 import os
 import shutil
 import subprocess
@@ -510,6 +511,17 @@ def test_systems_subset_trains_the_same_plain_net(tiny_run, tmp_path):
         assert sub_report.get("S1", vad) == report.get("S1", vad)
 
 
+def test_zero_epochs_trains_the_warm_start_and_echoes_no_loss(tmp_path):
+    cfg = _tiny_config(tmp_path / "warm")
+    cfg.embednet.epochs = 0
+    lines = []
+    run_pipeline(cfg, stages=["synth", "features", "train-embed"], echo=lines.append)
+    for kind in ("att", "nonatt"):
+        assert len(load_embed_net(tmp_path / "warm" / "embed" / f"{kind}.emb1").tdnn) > 0
+        assert any(line.startswith(f"  {kind}: 0 epochs, no final loss")
+                   for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -597,6 +609,12 @@ def test_package_imports_without_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["deskspeaker", "deskspeaker.embednet"])
+def test_every_export_resolves(module):
+    package = importlib.import_module(module)
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
 
 def test_cli_overrides_systems_and_seed(tmp_path, capsys):
