@@ -128,16 +128,23 @@ def generate_corpus(cfg: SynthCorpusConfig, seed: int) -> SynthCorpus:
 
     n_utts = cfg.n_speakers * cfg.utts_per_speaker
     child_seeds = root.spawn(n_utts)
+    length = cfg.frames_per_utt
 
     utt_ids, speakers, features, voice, partition = [], [], [], [], []
     speaker_of: dict[str, str] = {}
     u = 0
     for s in range(cfg.n_speakers):
         spk = f"spk{s:03d}"
+        # A speaker's utterances are views of one block, so dropping the
+        # corpus returns its memory rather than leaving thousands of freed
+        # utterance-sized holes in the heap behind it. One block per speaker,
+        # not per corpus: freeing a multi-MB block would raise glibc's mmap
+        # and trim thresholds, and later stages' freed memory would stay.
+        block = np.empty((cfg.utts_per_speaker, length, dim))
         for j in range(cfg.utts_per_speaker):
             rng = np.random.default_rng(child_seeds[u])
+            frames = block[j]
             u += 1
-            length = cfg.frames_per_utt
             fraction = cfg.noise_frame_fraction
             if cfg.noise_fraction_jitter > 0:
                 fraction = float(np.clip(
@@ -149,7 +156,6 @@ def generate_corpus(cfg: SynthCorpusConfig, seed: int) -> SynthCorpus:
 
             channel = rng.standard_normal(fdim) * cfg.channel_spread
             comps = rng.integers(0, cfg.n_components, size=length)
-            frames = np.empty((length, dim))
             identity = speaker_means[s] + component_offsets[s][comps]
             if gains is not None:
                 identity = gains[comps][:, None] * identity + anchors[comps]
