@@ -78,14 +78,6 @@ class EmbedNetParams:
     def right_context(self) -> int:
         return sum(max(layer.offsets) for layer in self.tdnn)
 
-    @property
-    def pool_dim(self) -> int:
-        return self.tdnn[-1].linear.bias.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.seg1.bias.shape[0]
-
 
 def init_embed_net(cfg: EmbedNetConfig, rng: np.random.Generator,
                    head_rng: np.random.Generator | None = None) -> EmbedNetParams:
@@ -384,6 +376,21 @@ def chunk_loss_and_grads(params: EmbedNetParams, x: np.ndarray, label: int, mode
 # ---------------------------------------------------------------------------
 # serialization (EMB1)
 
+class _ZeroDraws:  # init_embed_net's generator when every value is overwritten
+    standard_normal = staticmethod(np.zeros)  # numpy.random (2 MB resident) stays unloaded
+
+
+def _tensor_items(params: EmbedNetParams):
+    """Every array an EMB1 file holds, by name: the parameters, then each
+    norm's running statistics. A norm is named after its site when the site
+    is the norm (norm1, norm2), else as the site's norm (tdnn0.norm)."""
+    yield from _param_items(params)
+    for site, _, norm in relu_sites(params):
+        name = site if site.startswith("norm") else f"{site}.norm"
+        yield f"{name}.mean", norm.running_mean
+        yield f"{name}.var", norm.running_var
+
+
 def save_embed_net(path, params: EmbedNetParams):
     meta = {
         "input_dim": params.input_dim,
@@ -395,45 +402,40 @@ def save_embed_net(path, params: EmbedNetParams):
         meta[f"tdnn{i}.n_offsets"] = len(layer.offsets)
         for j, o in enumerate(layer.offsets):
             meta[f"tdnn{i}.offset{j}"] = o
-    tensors = dict(_param_items(params))
-    for name, norm in _norm_items(params):
-        tensors[f"{name}.mean"] = norm.running_mean
-        tensors[f"{name}.var"] = norm.running_var
-    write_named_tensors(path, b"EMB1", meta, tensors)
-
-
-def _norm_items(params: EmbedNetParams):
-    for i, layer in enumerate(params.tdnn):
-        yield f"tdnn{i}.norm", layer.norm
-    if params.attention is not None:
-        yield "att.norm", params.attention.norm
-    yield "norm1", params.norm1
-    yield "norm2", params.norm2
+    write_named_tensors(path, b"EMB1", meta, dict(_tensor_items(params)))
 
 
 def load_embed_net(path) -> EmbedNetParams:
+    """Read an EMB1 net: init_embed_net builds the layout its meta gives, at
+    the widths of its norms' gammas, and every array of _tensor_items is
+    filled from the file. A missing meta key, bad offsets, a size the file
+    cannot hold, or a missing, extra or misshaped tensor raises FormatError."""
     meta, tensors = read_named_tensors(path, b"EMB1")
-    layers = []
-    for i in range(meta["n_tdnn"]):
-        offsets = tuple(meta[f"tdnn{i}.offset{j}"]
-                        for j in range(meta[f"tdnn{i}.n_offsets"]))
-        norm = BatchNorm(tensors[f"tdnn{i}.gamma"], tensors[f"tdnn{i}.beta"],
-                         tensors[f"tdnn{i}.norm.mean"], tensors[f"tdnn{i}.norm.var"])
-        layers.append(TdnnLayer(Linear(tensors[f"tdnn{i}.w"], tensors[f"tdnn{i}.b"]),
-                                offsets, norm))
-    attention = None
-    if meta["has_attention"]:
-        attention = AttentionParams(
-            tensors["att.w"], tensors["att.b"], tensors["att.v"],
-            tensors["att.k"],
-            BatchNorm(tensors["att.gamma"], tensors["att.beta"],
-                      tensors["att.norm.mean"], tensors["att.norm.var"]))
-    return EmbedNetParams(
-        meta["input_dim"], meta["n_speakers"], layers, attention,
-        Linear(tensors["seg1.w"], tensors["seg1.b"]),
-        BatchNorm(tensors["norm1.gamma"], tensors["norm1.beta"],
-                  tensors["norm1.mean"], tensors["norm1.var"]),
-        Linear(tensors["seg2.w"], tensors["seg2.b"]),
-        BatchNorm(tensors["norm2.gamma"], tensors["norm2.beta"],
-                  tensors["norm2.mean"], tensors["norm2.var"]),
-        Linear(tensors["out.w"], tensors["out.b"]))
+    try:
+        offsets = tuple(tuple(meta[f"tdnn{i}.offset{j}"]
+                              for j in range(meta[f"tdnn{i}.n_offsets"]))
+                        for i in range(meta["n_tdnn"]))
+        cfg = EmbedNetConfig(meta["input_dim"], meta["n_speakers"],
+                             attentive=bool(meta["has_attention"]), tdnn_offsets=offsets)
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing meta key {exc}") from None
+    if not offsets or not all(o and list(o) == sorted(set(o)) for o in offsets):
+        raise FormatError(f"{path}: bad TDNN offsets {offsets}")
+    # a one-unit net names the ReLU sites (TDNN layers, head, segment layers)
+    probe = init_embed_net(EmbedNetConfig(1, 1, 1, 1, 1, 1, cfg.attentive, offsets), _ZeroDraws)
+    widths = [tensors.get(f"{site}.gamma", np.empty(0)).size for site, _, _ in relu_sites(probe)]
+    n_values = sum(t.size for t in tensors.values())
+    if not all(1 <= n <= n_values for n in (cfg.input_dim, cfg.n_speakers, *widths)):
+        raise FormatError(f"{path}: a dimension is zero or larger than the file")
+    n = len(offsets)
+    cfg.hidden_dim, cfg.pool_dim, cfg.attention_dim, cfg.embed_dim = (
+        widths[0], widths[n - 1], widths[n], widths[-1])
+    params = init_embed_net(cfg, _ZeroDraws)
+    for name, arr in _tensor_items(params):
+        value = tensors.pop(name, None)
+        if value is None or value.shape != arr.shape:
+            raise FormatError(f"{path}: tensor {name} is missing or not {arr.shape}")
+        arr[...] = value
+    if tensors:
+        raise FormatError(f"{path}: unexpected tensors {sorted(tensors)}")
+    return params

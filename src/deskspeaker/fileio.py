@@ -10,7 +10,8 @@ seconds, followed by the payload row-major.
 
 Model files (GMM1, TVM1, PLD1, PRE1) store float64 tensors after a small
 dimension header; EMB1 stores a self-describing named-tensor table in float32.
-Their readers refuse a file with bytes after the payload.
+Every reader parses its file through one bounded cursor, so a malformed file
+raises FormatError and no header can make it allocate more than the file holds.
 Vector sets travel as an AFS1 matrix (one vector per row) plus a text sidecar
 with one id per line.
 """
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, FormatError
-
-_FRAME_HEADER = struct.Struct("<4sIIf")
 
 
 @dataclass
@@ -49,25 +48,61 @@ class AcousticFrameSequence:
         return self.frames.shape[1]
 
 
+class _Cursor:
+    """A file's bytes, parsed front to back after its 4-byte magic. Each read
+    first checks that the bytes it needs are left."""
+
+    def __init__(self, path, magic: bytes):
+        with open(path, "rb") as f:
+            self.buf = f.read()
+        self.path, self.pos = path, 4
+        if self.buf[:4] != magic:
+            raise FormatError(f"{path}: expected magic {magic!r}, found {self.buf[:4]!r}")
+
+    def _advance(self, size: int) -> int:
+        if size > len(self.buf) - self.pos:
+            raise FormatError(f"{self.path}: truncated file")
+        self.pos += size
+        return self.pos - size
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.buf, self._advance(struct.calcsize(fmt)))
+
+    def name(self) -> str:
+        """A u16 length, then that many bytes of UTF-8."""
+        (size,) = self.unpack("<H")
+        try:
+            return self.buf[self._advance(size):self.pos].decode()
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.path}: a name is not UTF-8") from None
+
+    def array(self, dtype: str, shape: tuple) -> np.ndarray:
+        """A float64 copy of the next C-ordered array of `dtype` values."""
+        import math  # math.prod: Python ints, so no header can overflow it
+        count = math.prod(shape)
+        start = self._advance(count * np.dtype(dtype).itemsize)
+        return np.frombuffer(self.buf, dtype, count, start).reshape(shape).astype(np.float64)
+
+    def end(self):
+        if self.pos != len(self.buf):
+            raise FormatError(f"{self.path}: trailing bytes after the payload")
+
+
 def _write_frame_matrix(path, magic: bytes, data: np.ndarray, frame_period: float):
     data = np.ascontiguousarray(data, dtype="<f4")
     if data.ndim == 1:
         data = data[:, None]
     with open(path, "wb") as f:
-        f.write(_FRAME_HEADER.pack(magic, data.shape[0], data.shape[1], frame_period))
+        f.write(struct.pack("<4sIIf", magic, data.shape[0], data.shape[1], frame_period))
         f.write(data.tobytes())
 
 
 def _read_frame_matrix(path, magic: bytes):
-    with open(path, "rb") as f:
-        got, n_rows, n_cols, period = _unpack(f, _FRAME_HEADER.format, path)
-        if got != magic:
-            raise FormatError(f"{path}: expected magic {magic!r}, found {got!r}")
-        payload = np.fromfile(f, dtype="<f4", count=n_rows * n_cols)
-        if payload.size != n_rows * n_cols:
-            raise FormatError(f"{path}: truncated payload")
-        _check_end(f, path)
-    return payload.reshape(n_rows, n_cols).astype(np.float64), float(period)
+    cur = _Cursor(path, magic)
+    n_rows, n_cols, period = cur.unpack("<IIf")
+    data = cur.array("<f4", (n_rows, n_cols))
+    cur.end()
+    return data, float(period)
 
 
 def write_features(path, seq: AcousticFrameSequence):
@@ -108,42 +143,13 @@ def read_frame_weights(path) -> np.ndarray:
         raise FormatError(f"{path}: weight files are single-column")
     w = data[:, 0]
     total = w.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise FormatError(f"{path}: weights must be positive-mass")
+    if np.any(w < 0) or not np.isfinite(total) or total <= 0:
+        raise FormatError(f"{path}: weights must be non-negative with positive mass")
     return w / total
 
 
 # ---------------------------------------------------------------------------
 # float64 model containers: magic, u32 dimensions, then each array in order
-
-def _read_f64(f, count, path):
-    arr = np.fromfile(f, dtype="<f8", count=count)
-    if arr.size != count:
-        raise FormatError(f"{path}: truncated payload")
-    return arr
-
-
-def _read_exact(f, size, path) -> bytes:
-    data = f.read(size)
-    if len(data) != size:
-        raise FormatError(f"{path}: truncated file")
-    return data
-
-
-def _unpack(f, fmt, path) -> tuple:
-    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), path))
-
-
-def _check_magic(f, magic, path):
-    got = f.read(4)
-    if got != magic:
-        raise FormatError(f"{path}: expected magic {magic!r}, found {got!r}")
-
-
-def _check_end(f, path):
-    if f.read(1):
-        raise FormatError(f"{path}: trailing bytes after the payload")
-
 
 # magic -> (number of header dimensions, array shapes from those dimensions)
 _F64_MODELS = {
@@ -163,12 +169,9 @@ def _write_f64_model(path, magic: bytes, dims, arrays):
 
 def _read_f64_model(path, magic: bytes) -> tuple:
     n_dims, shapes = _F64_MODELS[magic]
-    with open(path, "rb") as f:
-        _check_magic(f, magic, path)
-        dims = _unpack(f, f"<{n_dims}I", path)
-        arrays = tuple(_read_f64(f, int(np.prod(shape)), path).reshape(shape)
-                       for shape in shapes(*dims))
-        _check_end(f, path)
+    cur = _Cursor(path, magic)
+    arrays = tuple(cur.array("<f8", shape) for shape in shapes(*cur.unpack(f"<{n_dims}I")))
+    cur.end()
     return arrays
 
 
@@ -230,31 +233,24 @@ def write_named_tensors(path, magic: bytes, meta: dict[str, int], tensors: dict[
 
 
 def read_named_tensors(path, magic: bytes):
-    with open(path, "rb") as f:
-        _check_magic(f, magic, path)
-        (version,) = _unpack(f, "<I", path)
-        if version != 1:
-            raise FormatError(f"{path}: unsupported version {version}")
-        (n_meta,) = _unpack(f, "<I", path)
-        meta = {}
-        for _ in range(n_meta):
-            (klen,) = _unpack(f, "<H", path)
-            key = _read_exact(f, klen, path).decode()
-            (val,) = _unpack(f, "<q", path)
-            meta[key] = val
-        (n_tensors,) = _unpack(f, "<I", path)
-        tensors = {}
-        for _ in range(n_tensors):
-            (nlen,) = _unpack(f, "<H", path)
-            name = _read_exact(f, nlen, path).decode()
-            (ndim,) = _unpack(f, "<I", path)
-            shape = _unpack(f, f"<{ndim}I", path)
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.fromfile(f, dtype="<f4", count=count)
-            if arr.size != count:
-                raise FormatError(f"{path}: truncated tensor {name}")
-            tensors[name] = arr.reshape(shape).astype(np.float64)
-        _check_end(f, path)
+    cur = _Cursor(path, magic)
+    (version,) = cur.unpack("<I")
+    if version != 1:
+        raise FormatError(f"{path}: unsupported version {version}")
+    (n_meta,) = cur.unpack("<I")
+    meta = {}
+    for _ in range(n_meta):
+        key = cur.name()
+        (meta[key],) = cur.unpack("<q")
+    (n_tensors,) = cur.unpack("<I")
+    tensors = {}
+    for _ in range(n_tensors):
+        name = cur.name()
+        (ndim,) = cur.unpack("<I")
+        if ndim > 32:  # NumPy 1.x's limit; a net's tensors have at most 2
+            raise FormatError(f"{path}: tensor {name} claims {ndim} dimensions")
+        tensors[name] = cur.array("<f4", cur.unpack(f"<{ndim}I"))
+    cur.end()
     return meta, tensors
 
 

@@ -489,15 +489,16 @@ def _stage_report(cfg: PipelineConfig, out: Path, echo):
     d = _stage_dir(out, "report")
     sdir = _stage_dir(out, "score")
     trials = fileio.read_trial_list(sdir / "trials.txt")
-    truth = {(e, t): is_target for e, t, is_target in trials}
+    targets = np.array([is_target for _, _, is_target in trials])
     results = []
     for system in cfg.systems:
         for vad in cfg.vad_variants:
-            variant = variant_name(system, vad)
-            scored = fileio.read_scores(sdir / f"{variant}.txt")
-            scores = np.array([s for _, _, s in scored])
-            targets = np.array([truth[(e, t)] for e, t, _ in scored])
-            tset = TrialScoreSet(scores, targets)
+            path = sdir / f"{variant_name(system, vad)}.txt"
+            scored = fileio.read_scores(path)
+            if len(scored) != len(trials) or any(
+                    s[:2] != t[:2] for s, t in zip(scored, trials)):
+                raise FormatError(f"{path}: (enroll, test) pairs differ from trials.txt")
+            tset = TrialScoreSet(np.array([s for _, _, s in scored]), targets)
             results.append(SystemResult(
                 system, vad, compute_eer(tset),
                 compute_min_cprimary(tset, cfg.eval.p_targets)))

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from deskspeaker import fileio
 from deskspeaker.embednet import network
 from deskspeaker.embednet import train as train_module
 
@@ -284,6 +285,25 @@ class TestSaveLoad:
         params = _toy_params(rng, attentive=False)
         save_embed_net(tmp_path / "plain.emb1", params)
         assert load_embed_net(tmp_path / "plain.emb1").attention is None
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda meta, tensors: meta.pop("tdnn1.offset0"), "tdnn1.offset0"),
+        (lambda meta, tensors: meta.update({"tdnn0.offset0": 1}), "offsets"),
+        (lambda meta, tensors: meta.update({"input_dim": 2 ** 40}), "dimension"),
+        (lambda meta, tensors: tensors.pop("norm2.var"), "norm2.var"),
+        (lambda meta, tensors: tensors.update({"seg3.w": np.eye(2)}), "seg3.w"),
+        (lambda meta, tensors: tensors.update(
+            {"seg2.w": tensors["seg2.w"][:, 1:]}), "seg2.w"),
+    ], ids=["missing-meta-key", "unsorted-offsets", "absurd-input-dim",
+            "missing-tensor", "extra-tensor", "misshaped-tensor"])
+    def test_malformed_net_raises_format_error(self, tmp_path, damage, message):
+        path = tmp_path / "net.emb1"
+        save_embed_net(path, _toy_params(np.random.default_rng(57)))
+        meta, tensors = fileio.read_named_tensors(path, b"EMB1")
+        damage(meta, tensors)
+        fileio.write_named_tensors(path, b"EMB1", meta, tensors)
+        with pytest.raises(FormatError, match=message):
+            load_embed_net(path)
 
 
 class TestTrainingDeterminism:

@@ -1,11 +1,14 @@
 """Round-trip and validation tests for the binary/text artifact formats."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from deskspeaker import fileio
+from deskspeaker.embednet import (EmbedNetConfig, init_embed_net,
+                                  load_embed_net, save_embed_net)
 from deskspeaker.errors import EmptyInputError, FormatError
 from deskspeaker.fileio import AcousticFrameSequence
 
@@ -80,6 +83,11 @@ class TestPosteriorsAndWeights:
         with pytest.raises(FormatError):
             fileio.write_frame_weights(tmp_path / "bad.fwt",
                                        np.array([0.5, -0.1, 0.6]), 0.01)
+        # the reader refuses them too, although the total mass is positive
+        path = tmp_path / "negative.fwt"
+        path.write_bytes(struct.pack("<4sIIf3f", b"FWT1", 3, 1, 0.01, 0.5, -0.1, 0.6))
+        with pytest.raises(FormatError, match="non-negative"):
+            fileio.read_frame_weights(path)
 
 
 class TestModelFiles:
@@ -231,6 +239,44 @@ def test_frame_file_with_trailing_bytes_raises_format_error(tmp_path, write, rea
     matrix.write_bytes(matrix.read_bytes() + struct.pack("<f", 0.0))
     with pytest.raises(FormatError, match="trailing"):
         read(path)
+
+
+def _net_files():
+    # an attentive net with two TDNN layers: 1,884 bytes
+    cfg = EmbedNetConfig(input_dim=3, n_speakers=3, hidden_dim=4, pool_dim=5,
+                         embed_dim=4, attention_dim=3,
+                         tdnn_offsets=((-1, 0, 1), (0,)))
+    yield ("net", lambda p: save_embed_net(p, init_embed_net(cfg, np.random.default_rng(11))),
+           load_embed_net, "")
+
+
+@pytest.mark.parametrize("write, read, suffix", [
+    pytest.param(write, read, suffix, id=kind) for kind, write, read, suffix in (
+        *((kind, write, read, "") for kind, write, read in _model_files()),
+        *_frame_files(), *_net_files())])
+def test_byte_flip_loads_or_raises_format_error(tmp_path, write, read, suffix):
+    # bit 0 and bit 7 of every byte: each flipped file either loads or
+    # raises FormatError, and no header value makes the reader's traced
+    # peak reach 1 MB
+    path = tmp_path / "artifact"
+    write(path)
+    target = tmp_path / f"artifact{suffix}"
+    data = target.read_bytes()
+    for i in range(len(data)):
+        for bit in (0, 7):
+            flipped = bytearray(data)
+            flipped[i] ^= 1 << bit
+            target.write_bytes(flipped)
+            tracemalloc.start()
+            try:
+                with np.errstate(all="ignore"):
+                    read(path)
+            except FormatError:
+                pass
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            assert peak < 1 << 20, f"byte {i}, bit {bit}: peak {peak} bytes"
 
 
 def _f64(*arrays) -> bytes:

@@ -565,6 +565,41 @@ def test_cli_rejects_fresh_report_cut_at_a_line_boundary(tiny_run, tmp_path, cap
     assert variant_name(system, vad == "vad") in captured.err
 
 
+@pytest.mark.parametrize("edit", ["last-line-dropped", "unknown-pair"])
+def test_cli_report_rejects_scores_off_the_trial_list(tiny_run, tmp_path, capsys, edit):
+    _, clone = _clone(tiny_run, tmp_path)
+    (clone / "report" / ".stamp.json").unlink()
+    scores = sorted((clone / "scores").glob("S*.txt"))[0]
+    lines = scores.read_text().splitlines(keepends=True)
+    if edit == "last-line-dropped":
+        lines = lines[:-1]
+    else:
+        enroll, _, score = lines[0].split()
+        lines[0] = f"{enroll} nobody {score}\n"
+    scores.write_text("".join(lines))
+    code = main(["report", "--config", str(clone / "config.yaml"),
+                 "--out", str(clone)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("deskspeaker: ")
+    assert scores.name in captured.err and "trials.txt" in captured.err
+
+
+def test_cli_extract_rejects_net_missing_a_tensor(tiny_run, tmp_path, capsys):
+    _, clone = _clone(tiny_run, tmp_path)
+    net = clone / "embed" / "att.emb1"
+    meta, tensors = fileio.read_named_tensors(net, b"EMB1")
+    del tensors["att.v"]
+    fileio.write_named_tensors(net, b"EMB1", meta, tensors)
+    (clone / "vectors" / ".stamp.json").unlink()
+    code = main(["extract", "--config", str(clone / "config.yaml"),
+                 "--out", str(clone)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("deskspeaker: ")
+    assert "att.emb1" in captured.err and "att.v" in captured.err
+
+
 def test_load_report_checks_expected_variants(tmp_path):
     (tmp_path / "report").mkdir()
     (tmp_path / "report" / "report.kv").write_text(
