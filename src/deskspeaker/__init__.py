@@ -6,11 +6,10 @@ from .backend import (PldaModel, Preprocessor, apply_preprocess,
                       train_plda)
 from .config import (PipelineConfig, config_to_dict, copy_config,
                      default_config, load_config, save_config)
-from .errors import (AllSilenceError, DegenerateScoreSetError,
-                     DegenerateWeightsError, DeskSpeakerError,
-                     EmptyInputError, FormatError, MissingAttentionError,
-                     NumericsError, StageDependencyError,
-                     TooShortUtteranceError)
+from .errors import (DegenerateScoreSetError, DegenerateWeightsError,
+                     DeskSpeakerError, EmptyInputError, FormatError,
+                     MissingAttentionError, NumericsError,
+                     StageDependencyError, TooShortUtteranceError)
 from .fileio import AcousticFrameSequence
 from .harness import (Report, SystemResult, expand_frame_weights,
                       load_report, run_pipeline)
@@ -35,7 +34,7 @@ __all__ = [
     "PldaModel", "train_plda", "plda_score", "plda_score_matrix",
     "TrialScoreSet", "compute_eer", "compute_min_cprimary",
     "weight_posterior_correlation", "DeskSpeakerError", "EmptyInputError",
-    "AllSilenceError", "TooShortUtteranceError", "DegenerateWeightsError",
+    "TooShortUtteranceError", "DegenerateWeightsError",
     "MissingAttentionError", "NumericsError", "FormatError",
     "StageDependencyError", "DegenerateScoreSetError",
     "__version__",

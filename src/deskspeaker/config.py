@@ -20,11 +20,6 @@ KNOWN_SYSTEMS = ("S1", "S2", "S3", "S4", "S5", "S6")
 
 @dataclass
 class FeatureStageConfig:
-    sliding_cmn: bool = False
-    cmn_window_s: float = 3.0
-    append_deltas: bool = False
-    apply_hard_vad: bool = False
-    vad_offset: float = -0.5
     soft_vad_slope: float = 2.0
     soft_vad_offset: float = -0.5
     soft_vad_smooth_radius: int = 2

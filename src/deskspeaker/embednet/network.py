@@ -118,17 +118,17 @@ def _as_frames(x) -> np.ndarray:
 
 
 def _splice(x: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
-    width = offsets[-1] - offsets[0]
-    n_out = x.shape[0] - width
-    if n_out < 1:
-        raise TooShortUtteranceError(
-            f"{x.shape[0]} frames cannot cover a context of {width + 1}")
+    n_out = x.shape[0] - (offsets[-1] - offsets[0])
     return np.hstack([x[(o - offsets[0]):(o - offsets[0]) + n_out] for o in offsets])
 
 
 def _forward_frames(params: EmbedNetParams, x: np.ndarray, cache: list | None = None):
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise FormatError(f"expected (L, {params.input_dim}) input, got {x.shape}")
+    needed = params.left_context + params.right_context + 1
+    if x.shape[0] < needed:
+        raise TooShortUtteranceError(
+            f"{x.shape[0]} frames cannot cover the network's context of {needed} frames")
     y = x
     for layer in params.tdnn:
         spliced = _splice(y, layer.offsets)

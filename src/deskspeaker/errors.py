@@ -9,10 +9,6 @@ class EmptyInputError(DeskSpeakerError, ValueError):
     """Input carries no usable frames (e.g. an empty frame sequence)."""
 
 
-class AllSilenceError(DeskSpeakerError, ValueError):
-    """Energy VAD kept no frames."""
-
-
 class TooShortUtteranceError(DeskSpeakerError, ValueError):
     """Utterance shorter than the network's total temporal context."""
 

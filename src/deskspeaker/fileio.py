@@ -37,7 +37,7 @@ class AcousticFrameSequence:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
             raise EmptyInputError("frame sequence needs at least one frame")
-        if self.frame_period <= 0:
+        if not self.frame_period > 0:  # written so that NaN fails too
             raise FormatError("frame period must be positive")
 
     def __len__(self) -> int:
@@ -124,7 +124,7 @@ def read_posteriors(path) -> np.ndarray:
     if data.shape[1] != 1:
         raise FormatError(f"{path}: posterior files are single-column")
     q = data[:, 0]
-    if np.any(q < -1e-6) or np.any(q > 1 + 1e-6):
+    if not np.all((q >= -1e-6) & (q <= 1 + 1e-6)):  # NaN fails both
         raise FormatError(f"{path}: posteriors outside [0, 1]")
     return np.clip(q, 0.0, 1.0)
 
@@ -257,6 +257,16 @@ def read_named_tensors(path, magic: bytes):
 # ---------------------------------------------------------------------------
 # text sidecars: vector sets, trial lists, score files
 
+def text_lines(path):
+    """The lines of a UTF-8 text file, newlines kept, read lazily. Bytes that
+    are not UTF-8 raise FormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield from f
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+
+
 def write_vector_set(path_prefix, ids, vectors: np.ndarray):
     """Vectors as an AFS1 matrix (one row per vector) + '<prefix>.ids' sidecar."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
@@ -270,8 +280,7 @@ def write_vector_set(path_prefix, ids, vectors: np.ndarray):
 
 def read_vector_set(path_prefix):
     data, _ = _read_frame_matrix(f"{path_prefix}.afs", b"AFS1")
-    with open(f"{path_prefix}.ids") as f:
-        ids = [line.strip() for line in f if line.strip()]
+    ids = [line.strip() for line in text_lines(f"{path_prefix}.ids") if line.strip()]
     if len(ids) != data.shape[0]:
         raise FormatError(f"{path_prefix}: id sidecar disagrees with vector rows")
     return ids, data
@@ -287,14 +296,13 @@ def write_trial_list(path, trials):
 
 def read_trial_list(path):
     trials = []
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
-                raise FormatError(f"{path}: bad trial line {line!r}")
-            trials.append((parts[0], parts[1], parts[2] == "target"))
+    for line in text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
+            raise FormatError(f"{path}: bad trial line {line!r}")
+        trials.append((parts[0], parts[1], parts[2] == "target"))
     return trials
 
 
@@ -307,14 +315,13 @@ def write_scores(path, scored):
 
 def read_scores(path):
     scored = []
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                enroll, test, score = parts
-                scored.append((enroll, test, float(score)))
-            except ValueError:
-                raise FormatError(f"{path}: bad score line {line!r}") from None
+    for line in text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            enroll, test, score = parts
+            scored.append((enroll, test, float(score)))
+        except ValueError:
+            raise FormatError(f"{path}: bad score line {line!r}") from None
     return scored

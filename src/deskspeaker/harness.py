@@ -44,8 +44,7 @@ from .embednet import (EmbedNetConfig, combine_weights, embed_hidden,
                        hidden_attention_weights, load_embed_net,
                        save_embed_net, tdnn_forward, train_embed_network)
 from .errors import DegenerateWeightsError, FormatError, StageDependencyError
-from .features import (SoftVadConfig, VadConfig, append_deltas, energy_vad,
-                       sliding_cmn, soft_vad_posteriors)
+from .features import soft_vad_posteriors
 from .fileio import AcousticFrameSequence
 from .ivector import (TotalVariabilityModel, accumulate_stats,
                       extract_ivector, train_tvm, weighted_stats)
@@ -178,12 +177,11 @@ def _write_manifest(path, corpus):
 
 def _read_manifest(path):
     rows = []
-    with open(path) as f:
-        for line in f:
-            row = tuple(line.split())
-            if len(row) != 3:
-                raise FormatError(f"{path}: bad manifest line {line!r}")
-            rows.append(row)
+    for line in fileio.text_lines(path):
+        row = tuple(line.split())
+        if len(row) != 3:
+            raise FormatError(f"{path}: bad manifest line {line!r}")
+        rows.append(row)
     if not rows:
         raise FormatError(f"{path}: empty manifest")
     return rows
@@ -212,15 +210,12 @@ def _stage_synth(cfg: PipelineConfig, out: Path, echo):
 
 
 def _stage_features(cfg: PipelineConfig, out: Path, echo):
-    """Apply front-end processing and voice posteriors."""
+    """Compute or ingest each utterance's soft-VAD posteriors."""
     fcfg = cfg.features
     src = _stage_dir(out, "synth")
     d = _stage_dir(out, "features")
     for sub in ("feats", "q"):
         (d / sub).mkdir(exist_ok=True)
-    soft_cfg = SoftVadConfig(slope=fcfg.soft_vad_slope,
-                             offset=fcfg.soft_vad_offset,
-                             smooth_radius=fcfg.soft_vad_smooth_radius)
     rows = _read_manifest(src / "manifest.tsv")
     for utt, _, _ in rows:
         seq = fileio.read_features(src / "feats" / f"{utt}.afs")
@@ -231,24 +226,14 @@ def _stage_features(cfg: PipelineConfig, out: Path, echo):
                     f"external posteriors for {utt}: {q.shape[0]} frames, "
                     f"expected {len(seq)}")
         else:
-            q = soft_vad_posteriors(seq, soft_cfg)
-        processed = seq
-        if fcfg.sliding_cmn:
-            processed = sliding_cmn(processed, fcfg.cmn_window_s)
-        if fcfg.append_deltas:
-            processed = append_deltas(processed)
-        if fcfg.apply_hard_vad:
-            mask = energy_vad(seq, VadConfig(offset=fcfg.vad_offset))
-            processed = AcousticFrameSequence(processed.frames[mask],
-                                              processed.frame_period)
-            q = q[mask]
-        fileio.write_features(d / "feats" / f"{utt}.afs", processed)
+            q = soft_vad_posteriors(seq, fcfg.soft_vad_slope, fcfg.soft_vad_offset,
+                                    fcfg.soft_vad_smooth_radius)
+        fileio.write_features(d / "feats" / f"{utt}.afs", seq)
         fileio.write_posteriors(d / "q" / f"{utt}.vps", q, seq.frame_period)
     (d / "manifest.tsv").write_text((src / "manifest.tsv").read_text())
     if echo:
-        echo(f"  processed {len(rows)} utterances "
-             f"(cmn={fcfg.sliding_cmn}, deltas={fcfg.append_deltas}, "
-             f"hard_vad={fcfg.apply_hard_vad})")
+        source = fcfg.posterior_dir or "soft VAD"
+        echo(f"  posteriors for {len(rows)} utterances from {source}")
 
 
 def _read_processed(out, utt: str) -> AcousticFrameSequence:
@@ -520,17 +505,16 @@ def load_report(out, variants=None) -> Report:
     """
     path = _stage_dir(out, "report") / "report.kv"
     table = {}
-    with open(path) as f:
-        for line in f:
-            try:
-                key, val = line.strip().split("=")
-                system, vad, metric = key.split(".")
-                if vad not in ("vad", "novad") \
-                        or metric not in ("eer", "min_cprimary"):
-                    raise ValueError
-                table.setdefault((system, vad == "vad"), {})[metric] = float(val)
-            except ValueError:
-                raise FormatError(f"{path}: bad line {line!r}") from None
+    for line in fileio.text_lines(path):
+        try:
+            key, val = line.strip().split("=")
+            system, vad, metric = key.split(".")
+            if vad not in ("vad", "novad") \
+                    or metric not in ("eer", "min_cprimary"):
+                raise ValueError
+            table.setdefault((system, vad == "vad"), {})[metric] = float(val)
+        except ValueError:
+            raise FormatError(f"{path}: bad line {line!r}") from None
     incomplete = [variant_name(*k) for k, m in table.items() if len(m) != 2]
     if incomplete or not table:
         raise FormatError(f"{path}: incomplete report "

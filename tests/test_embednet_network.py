@@ -90,6 +90,13 @@ class TestTdnnForward:
         params = _toy_params(rng)
         with pytest.raises(TooShortUtteranceError):
             tdnn_forward(rng.standard_normal((4, 3)), params)
+        # the default offsets span 15 frames; the check names the whole
+        # context up front, not the layer where the frames run out
+        deep = init_embed_net(dataclasses.replace(
+            _toy_config(), tdnn_offsets=DEFAULT_TDNN_OFFSETS), rng)
+        with pytest.raises(TooShortUtteranceError, match=r"\b14 frames.*\b15 frames"):
+            tdnn_forward(rng.standard_normal((14, 3)), deep)
+        assert tdnn_forward(rng.standard_normal((15, 3)), deep).shape == (1, 5)
 
     def test_wrong_dim_rejected(self):
         rng = np.random.default_rng(44)

@@ -34,6 +34,11 @@ class TestFrameSequences:
         seq = AcousticFrameSequence(np.array([[1.0, 2.0]]), 0.02)
         fileio.write_features(tmp_path / "one.afs", seq)
         assert len(fileio.read_features(tmp_path / "one.afs")) == 1
+        # a frame period of NaN is refused, as a non-positive one is
+        path = tmp_path / "nan-period.afs"
+        path.write_bytes(struct.pack("<4sIIf2f", b"AFS1", 1, 2, float("nan"), 1.0, 2.0))
+        with pytest.raises(FormatError, match="frame period"):
+            fileio.read_features(path)
 
     def test_empty_frames_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -67,6 +72,11 @@ class TestPosteriorsAndWeights:
         back = fileio.read_posteriors(path)
         np.testing.assert_allclose(back, [0.0, 0.0, 0.5, 1.0, 1.0], atol=0)
         assert back.ndim == 1
+        # a NaN is outside [0, 1] too, although clipping would keep it
+        path = tmp_path / "nan.vps"
+        path.write_bytes(struct.pack("<4sIIf3f", b"VPS1", 3, 1, 0.01, 0.5, float("nan"), 0.25))
+        with pytest.raises(FormatError, match="outside"):
+            fileio.read_posteriors(path)
 
     def test_weights_renormalized_on_read(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -329,6 +339,11 @@ class TestTextSidecars:
     def test_vector_set_id_mismatch(self, tmp_path):
         with pytest.raises(FormatError):
             fileio.write_vector_set(tmp_path / "bad", ["a"], np.zeros((2, 3)))
+        # a sidecar that is not UTF-8 is refused, naming the file
+        fileio.write_vector_set(tmp_path / "latin", ["a", "b"], np.zeros((2, 3)))
+        (tmp_path / "latin.ids").write_bytes(b"a\n\xffb\n")
+        with pytest.raises(FormatError, match="latin.ids"):
+            fileio.read_vector_set(tmp_path / "latin")
 
     def test_trial_list_round_trip(self, tmp_path):
         trials = [("e1", "t1", True), ("e1", "t2", False), ("e2", "t1", False)]
@@ -341,12 +356,15 @@ class TestTextSidecars:
         path.write_text("e1 t1 maybe\n")
         with pytest.raises(FormatError):
             fileio.read_trial_list(path)
+        path.write_bytes(b"e1 t1 target\ne1 t\xff2 nontarget\n")
+        with pytest.raises(FormatError, match="bad.txt"):
+            fileio.read_trial_list(path)
 
-    @pytest.mark.parametrize("line", ["e1 t2 high\n", "e1 t2\n"],
-                             ids=["bad-score", "two-fields"])
+    @pytest.mark.parametrize("line", [b"e1 t2 high\n", b"e1 t2\n", b"e1 t\xff2 0.5\n"],
+                             ids=["bad-score", "two-fields", "not-utf8"])
     def test_scores_bad_line(self, tmp_path, line):
         path = tmp_path / "scores.txt"
-        path.write_text("e1 t1 1.5\n" + line)
+        path.write_bytes(b"e1 t1 1.5\n" + line)
         with pytest.raises(FormatError, match="scores.txt"):
             fileio.read_scores(path)
 

@@ -21,7 +21,7 @@ import pytest
 from deskspeaker import fileio, harness, ivector
 from deskspeaker.cli import build_parser, main
 from deskspeaker.config import (config_to_dict, copy_config, default_config,
-                                load_config)
+                                load_config, save_config)
 from deskspeaker.embednet import (combine_weights, export_attention_weights,
                                   extract_embedding, load_embed_net, network)
 from deskspeaker.errors import (DegenerateWeightsError, FormatError,
@@ -417,11 +417,15 @@ def test_every_config_field_is_fingerprinted():
 
 
 def test_config_with_synth_seed_is_refused(tmp_path):
-    # the corpus is drawn from the master seed; there is no second seed
+    # Keys an earlier version wrote are refused, not ignored: the corpus is
+    # drawn from the master seed, with no second seed, and the hard energy
+    # VAD went with its threshold offset.
     path = tmp_path / "old.yaml"
-    path.write_text("seed: 5\nsynth:\n  seed: 3\n")
-    with pytest.raises(ValueError, match="synth.seed"):
-        load_config(path)
+    for text, key in [("seed: 5\nsynth:\n  seed: 3\n", "synth.seed"),
+                      ("features:\n  vad_offset: -0.5\n", "features.vad_offset")]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=key):
+            load_config(path)
 
 
 def test_default_fingerprints_are_pinned():
@@ -429,41 +433,43 @@ def test_default_fingerprints_are_pinned():
     # fingerprint payload is unchanged.
     assert harness._stage_fingerprints(default_config()) == {
         "synth": "ca92051a08d9cb62",
-        "features": "2855bb8d678523ce",
-        "train-embed": "a7315c454efc70ff",
-        "train-ubm": "6474f20ed0282d80",
-        "train-tvm": "60030a5b675a3e70",
-        "extract": "b0528ca224d6339c",
-        "backend": "52cef1464400b9e3",
-        "score": "1463debf44180a54",
-        "report": "0bf4ecfae6d6bd37",
+        "features": "953e148c5d6b55d6",
+        "train-embed": "5f15c6e48ef41980",
+        "train-ubm": "a574e47d5c9e0d40",
+        "train-tvm": "1b30265e55cfaf69",
+        "extract": "bb9caf7f1b2fa948",
+        "backend": "fb763c16e514c327",
+        "score": "11f75583bd527506",
+        "report": "a9db84df6c241ab8",
     }
 
 
 @pytest.mark.parametrize("text", [
-    "",
-    "S1.novad.eer=0.25\n",
-    "S1.novad.eer=0.25\nS1.novad.min_cpr",
-    "S1.novad.eer=0.25\nS1.novad.min_cprimary=\n",
-    "S1.novad.eer=0.25\nS1.novad.min_cprimary=0.5=1\n",
-    "S1.maybe.eer=0.25\nS1.maybe.min_cprimary=0.5\n",
-    "S1.novad.eer=0.25\nS1.novad.dcf=0.5\n",
+    b"",
+    b"S1.novad.eer=0.25\n",
+    b"S1.novad.eer=0.25\nS1.novad.min_cpr",
+    b"S1.novad.eer=0.25\nS1.novad.min_cprimary=\n",
+    b"S1.novad.eer=0.25\nS1.novad.min_cprimary=0.5=1\n",
+    b"S1.maybe.eer=0.25\nS1.maybe.min_cprimary=0.5\n",
+    b"S1.novad.eer=0.25\nS1.novad.dcf=0.5\n",
+    b"S1.novad.eer=0.25\nS1.novad.min_cprimary=0.\xff\n",
 ], ids=["empty", "missing-metric", "cut-key", "cut-value", "two-equals",
-        "bad-vad", "bad-metric"])
+        "bad-vad", "bad-metric", "not-utf8"])
 def test_load_report_rejects_malformed_file(tmp_path, text):
     (tmp_path / "report").mkdir()
-    (tmp_path / "report" / "report.kv").write_text(text)
+    (tmp_path / "report" / "report.kv").write_bytes(text)
     with pytest.raises(FormatError, match="report.kv"):
         load_report(tmp_path)
 
 
 @pytest.mark.parametrize("text", [
-    "u1 spk1 train\nu2 spk1\n",
-    "u1 spk1 train\n\nu2 spk1 train\n",
-], ids=["two-fields", "blank-line"])
+    b"u1 spk1 train\nu2 spk1\n",
+    b"u1 spk1 train\n\nu2 spk1 train\n",
+    b"u1 spk1 train\nu\xff2 spk1 train\n",
+], ids=["two-fields", "blank-line", "not-utf8"])
 def test_read_manifest_rejects_malformed_line(tmp_path, text):
     path = tmp_path / "manifest.tsv"
-    path.write_text(text)
+    path.write_bytes(text)
     with pytest.raises(FormatError, match="manifest.tsv"):
         harness._read_manifest(path)
 
@@ -524,6 +530,33 @@ def test_zero_epochs_trains_the_warm_start_and_echoes_no_loss(tmp_path):
 
 # ---------------------------------------------------------------------------
 # command line
+
+def test_cli_features_ingests_posterior_dir(tmp_path, capsys):
+    # The ground-truth voice flags as external posteriors: the features
+    # stage stores them unchanged, and refuses a file one frame short.
+    cfg = _tiny_config(tmp_path / "run")
+    voice = tmp_path / "run" / "corpus" / "voice"
+    cfg.features.posterior_dir = str(voice)
+    path = tmp_path / "cfg.yaml"
+    save_config(cfg, path)
+    assert main(["synth", "--config", str(path)]) == 0
+    assert main(["features", "--config", str(path)]) == 0
+    q_dir = tmp_path / "run" / "features" / "q"
+    assert _tree_bytes(q_dir) == _tree_bytes(voice)
+
+    short = tmp_path / "short"
+    shutil.copytree(voice, short)
+    utt = _utt_ids(tmp_path / "run")[3]
+    q = fileio.read_posteriors(short / f"{utt}.vps")
+    fileio.write_posteriors(short / f"{utt}.vps", q[:-1])
+    cfg.features.posterior_dir = str(short)
+    save_config(cfg, path)
+    capsys.readouterr()
+    assert main(["features", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("deskspeaker: ") and utt in err
+    assert f"{len(q) - 1} frames, expected {len(q)}" in err
+
 
 def test_cli_runs_fresh_pipeline_and_reports(tiny_run, capsys):
     _, out, _ = tiny_run
