@@ -122,13 +122,19 @@ def _splice(x: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
     return np.hstack([x[(o - offsets[0]):(o - offsets[0]) + n_out] for o in offsets])
 
 
+def _check_context(params: EmbedNetParams, n_frames: int, utt_id=None):
+    """Raise TooShortUtteranceError unless n_frames cover the whole context."""
+    needed = params.left_context + params.right_context + 1
+    if n_frames < needed:
+        name = "" if utt_id is None else f"utterance {utt_id}: "
+        raise TooShortUtteranceError(
+            f"{name}{n_frames} frames cannot cover the network's context of {needed} frames")
+
+
 def _forward_frames(params: EmbedNetParams, x: np.ndarray, cache: list | None = None):
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise FormatError(f"expected (L, {params.input_dim}) input, got {x.shape}")
-    needed = params.left_context + params.right_context + 1
-    if x.shape[0] < needed:
-        raise TooShortUtteranceError(
-            f"{x.shape[0]} frames cannot cover the network's context of {needed} frames")
+    _check_context(params, x.shape[0])
     y = x
     for layer in params.tdnn:
         spliced = _splice(y, layer.offsets)

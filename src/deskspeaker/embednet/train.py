@@ -16,8 +16,8 @@ import numpy as np
 
 from ..errors import EmptyInputError, NumericsError
 from .network import (EmbedNetConfig, EmbedNetParams, _as_frames,
-                      _param_items, chunk_loss_and_grads, init_embed_net,
-                      relu_inputs, relu_sites)
+                      _check_context, _param_items, chunk_loss_and_grads,
+                      init_embed_net, relu_inputs, relu_sites)
 
 log = logging.getLogger(__name__)
 
@@ -42,11 +42,13 @@ def _update_norms(params: EmbedNetParams, collected: dict[str, list], momentum: 
         norm.running_var = (1.0 - momentum) * norm.running_var + momentum * var
 
 
-def train_embed_network(utterances, labels, cfg: EmbedNetConfig) -> EmbedNetParams:
+def train_embed_network(utterances, labels, cfg: EmbedNetConfig,
+                        utt_ids=None) -> EmbedNetParams:
     """Train a speaker-classification network and return its parameters.
 
     utterances: list of (L, D) frame arrays (or frame-sequence objects);
-    labels: parallel list of speaker indices in [0, cfg.n_speakers).
+    labels: parallel list of speaker indices in [0, cfg.n_speakers);
+    utt_ids: optional parallel list of names, used in error messages.
     """
     frames = [_as_frames(u) for u in utterances]
     if not frames:
@@ -63,6 +65,8 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig) -> EmbedNetPara
     init_seq, head_seq, data_seq = np.random.SeedSequence(cfg.seed).spawn(3)
     params = init_embed_net(cfg, np.random.default_rng(init_seq),
                             np.random.default_rng(head_seq))
+    for i, x in enumerate(frames):  # every utterance covers the context
+        _check_context(params, x.shape[0], i if utt_ids is None else utt_ids[i])
     rng = np.random.default_rng(data_seq)
     mode = "internal" if cfg.attentive else "uniform"
     n_utts = len(frames)

@@ -271,7 +271,8 @@ def _stage_train_embed(cfg: PipelineConfig, out: Path, echo):
             batch_size=ecfg.batch_size, bn_momentum=ecfg.bn_momentum,
             seed=cfg.seed + 11)
         t0 = time.monotonic()
-        params = train_embed_network(utts, labels, net_cfg)
+        params = train_embed_network(utts, labels, net_cfg,
+                                     utt_ids=[utt for utt, _, _ in train])
         save_embed_net(d / f"{kind}.emb1", params)
         if echo:
             # zero epochs train the warm start only: there is no final loss
@@ -289,9 +290,11 @@ def _stage_train_ubm(cfg: PipelineConfig, out: Path, echo):
                     seed=cfg.seed + 13)
     gmm.save(_stage_dir(out, "train-ubm") / "ubm.gmm1")
     if echo:
+        # zero iterations save the initial model: there is no final loglik
+        loglik = (f"final loglik/frame {gmm.em_loglik[-1] / frames.shape[0]:.4f}"
+                  if len(gmm.em_loglik) else "no EM iterations")
         echo(f"  {cfg.ubm.n_components} components on {frames.shape[0]} "
-             f"frames, final loglik/frame "
-             f"{gmm.em_loglik[-1] / frames.shape[0]:.4f}")
+             f"frames, {loglik}")
 
 
 def _stage_train_tvm(cfg: PipelineConfig, out: Path, echo):
@@ -303,8 +306,9 @@ def _stage_train_tvm(cfg: PipelineConfig, out: Path, echo):
                     seed=cfg.seed + 14)
     tvm.save(_stage_dir(out, "train-tvm") / "tvm.tvm1")
     if echo:
-        echo(f"  rank {cfg.tvm.rank}, objective "
-             f"{tvm.em_objective[0]:.3f} -> {tvm.em_objective[-1]:.3f}")
+        objective = (f"objective {tvm.em_objective[0]:.3f} -> {tvm.em_objective[-1]:.3f}"
+                     if len(tvm.em_objective) else "no EM iterations")
+        echo(f"  rank {cfg.tvm.rank}, {objective}")
 
 
 def _stage_extract(cfg: PipelineConfig, out: Path, echo):
@@ -361,18 +365,18 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
                     base = alpha
                 else:
                     base = exported
-                w = combine_weights(base, q[left:n - right]) if vad else base
+                w = _vad_weights(base, q[left:n - right], utt) if vad else base
                 vec = embed_hidden(hidden[spec.net], net, w)
             else:
                 if spec.weights == "external":
                     src_net = nets["att"]
                     w_full = expand_frame_weights(
                         exported, n, src_net.left_context, src_net.right_context)
-                    w = combine_weights(w_full, q) if vad else w_full
+                    w = _vad_weights(w_full, q, utt) if vad else w_full
                 else:
                     # None, not 1/n each: n * (1/n) can round away from 1,
                     # and S5 keeps the statistics the TVM was trained on
-                    w = combine_weights(np.full(n, 1.0 / n), q) if vad else None
+                    w = _vad_weights(np.full(n, 1.0 / n), q, utt) if vad else None
                 vec = extract_ivector(weighted_stats(frames, post, gmm, w), tvm)
             ids, vecs = collected[variant_name(system, vad)][part]
             ids.append(utt)
@@ -386,6 +390,14 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
     if echo:
         echo(f"  {len(collected)} system variants x {len(rows)} utterances"
              + (", weights exported" if export_weights else ""))
+
+
+def _vad_weights(weights: np.ndarray, q: np.ndarray, utt: str) -> np.ndarray:
+    """combine_weights, naming the utterance whose posteriors leave no mass."""
+    try:
+        return combine_weights(weights, q)
+    except DegenerateWeightsError as exc:
+        raise DegenerateWeightsError(f"utterance {utt}: {exc}") from exc
 
 
 def _variant_names(cfg: PipelineConfig):

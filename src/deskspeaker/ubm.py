@@ -4,7 +4,9 @@ Initialization is k-means++ followed by a few Lloyd iterations; EM then runs
 with per-dimension variance flooring at a small fraction of the global data
 variance. The per-iteration total log-likelihood is recorded on the returned
 model so monotonicity is checkable. Every training pass runs over fixed blocks
-of BLOCK_FRAMES frames in order, so no (frames x components) array is built.
+of BLOCK_FRAMES frames in order, so no (frames x components) array is built;
+each block is worked component-major, as (components x block) arrays, so the
+reductions over the components are passes over contiguous rows.
 """
 
 from __future__ import annotations
@@ -54,15 +56,19 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return (np.log1p(rest / count) + np.log(count) + top)[:, 0]
 
 
-def _log_joint(frames: np.ndarray, gmm: DiagGmm, squares=None) -> np.ndarray:
-    """Per-frame, per-component log w_c N(x; mu_c, diag(var_c)). Shape (N, C).
-    ``squares`` is ``frames ** 2`` when the caller already has it."""
+def _density_terms(gmm: DiagGmm):
+    """The per-model terms of log w_c N(x; mu_c, diag(var_c)) =
+    quad_c . x**2 + lin_c . x + const_c + log w_c."""
     inv = 1.0 / gmm.variances
     const = -0.5 * (gmm.dim * _LOG_2PI + np.log(gmm.variances).sum(axis=1)
                     + (gmm.means ** 2 * inv).sum(axis=1))
-    squares = frames ** 2 if squares is None else squares
-    return (squares @ (-0.5 * inv).T + frames @ (gmm.means * inv).T + const
-            + np.log(gmm.weights))
+    return -0.5 * inv, gmm.means * inv, const, np.log(gmm.weights)
+
+
+def _log_joint(frames: np.ndarray, gmm: DiagGmm) -> np.ndarray:
+    """Per-frame, per-component log w_c N(x; mu_c, diag(var_c)). Shape (N, C)."""
+    quad, lin, const, log_w = _density_terms(gmm)
+    return frames ** 2 @ quad.T + frames @ lin.T + const + log_w
 
 
 def gmm_posteriors(frames: np.ndarray, gmm: DiagGmm) -> np.ndarray:
@@ -84,12 +90,38 @@ def _blocks(n: int) -> list[slice]:
     return [slice(i, min(i + BLOCK_FRAMES, n)) for i in range(0, n, BLOCK_FRAMES)]
 
 
+def _direct_nearest(frames: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """argmin over the centers of ((f - c) ** 2).sum(), the first one on ties."""
+    return np.stack([((frames - c) ** 2).sum(axis=1) for c in centers],
+                    axis=1).argmin(axis=1)
+
+
 def _nearest(frames: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of each frame's nearest center, the first one on ties."""
+    """Index of each frame's nearest center, the first one on ties: the same
+    index as _direct_nearest, found with one GEMM per block."""
+    dim = frames.shape[1]
+    sq_norms = (centers ** 2).sum(axis=1)
+    max_norm = np.sqrt(sq_norms.max())
     assign = np.empty(frames.shape[0], dtype=np.intp)
     for s in _blocks(frames.shape[0]):
-        assign[s] = np.stack([((frames[s] - c) ** 2).sum(axis=1) for c in centers],
-                             axis=1).argmin(axis=1)
+        block = frames[s]
+        # ||f - c||^2 - ||f||^2 for every (center, frame), component-major.
+        dist = sq_norms[:, None] - 2.0 * (centers @ block.T)
+        best = dist.min(axis=0)
+        # With unit roundoff u = eps / 2, the direct form is off from
+        # ||f - c||^2 by at most (D + 2) u ||f - c||^2 (difference, square,
+        # D-term sum) and this form by at most (D + 1) u (||c||^2 + 2 ||c|| ||f||)
+        # (the dot products and norms, then the subtraction); both are under
+        # (D + 2) u (||f|| + ||c||)^2. A frame whose second-best value trails
+        # its best by more than twice their sum, (4 D + 8) u (||f|| + max ||c||)^2,
+        # has the same unique argmin in both forms. The slack is over twice
+        # that; the frames within it are recomputed in the direct form.
+        norms = np.sqrt(np.einsum("ij,ij->i", block, block))
+        slack = 4 * (dim + 3) * np.finfo(np.float64).eps * (norms + max_norm) ** 2
+        assign[s] = dist.argmin(axis=0)
+        close = np.flatnonzero((dist <= best + slack).sum(axis=0) > 1)
+        if close.size:
+            assign[s][close] = _direct_nearest(block[close], centers)
     return assign
 
 
@@ -142,16 +174,22 @@ def train_gmm(frames: np.ndarray, n_components: int, n_iters: int = 20,
     for _ in range(n_iters):
         loglik, counts = 0.0, np.zeros(n_components)
         first, second = np.zeros((2, n_components, dim))
+        quad, lin, const, log_w = _density_terms(gmm)
+        offset = (const + log_w)[:, None]
         for s in _blocks(n):  # E-step sums, in a fixed block order
             block = frames[s]
             squares = block ** 2
-            lj = _log_joint(block, gmm, squares)
-            per_frame = _logsumexp(lj)
-            loglik += per_frame.sum()
-            post = np.exp(lj - per_frame[:, None])
-            counts += post.sum(axis=0)
-            first += post.T @ block
-            second += post.T @ squares
+            # (C, block) log-joint, turned into the posteriors in place
+            post = quad @ squares.T + lin @ block.T + offset
+            top = post.max(axis=0)
+            post -= top
+            np.exp(post, out=post)
+            total = post.sum(axis=0)
+            loglik += (np.log(total) + top).sum()
+            post /= total
+            counts += post.sum(axis=1)
+            first += post @ block
+            second += post @ squares
         history.append(float(loglik))
         occupied = counts > 1e-10
         new_means = gmm.means.copy()

@@ -557,6 +557,44 @@ def test_cli_features_ingests_posterior_dir(tmp_path, capsys):
     assert err.startswith("deskspeaker: ") and utt in err
     assert f"{len(q) - 1} frames, expected {len(q)}" in err
 
+    # An utterance that is silent throughout is ingested, and its vad
+    # variants have no weight mass: extract fails naming it.
+    silent = tmp_path / "silent"
+    shutil.copytree(voice, silent)
+    fileio.write_posteriors(silent / f"{utt}.vps", np.zeros_like(q))
+    cfg.features.posterior_dir = str(silent)
+    save_config(cfg, path)
+    assert main(["features", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("deskspeaker: ") and f"utterance {utt}" in err
+    assert "zero total mass" in err
+
+
+def test_cli_names_an_utterance_shorter_than_the_context(tmp_path, capsys):
+    cfg = _tiny_config(tmp_path / "run")
+    cfg.synth.frames_per_utt = 14  # the default offsets span 15 frames
+    path = tmp_path / "cfg.yaml"
+    save_config(cfg, path)
+    assert main(["run-all", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("deskspeaker: ")
+    assert any(f"utterance {utt}: " in err for utt in _utt_ids(tmp_path / "run"))
+    assert "14 frames" in err and "15 frames" in err
+
+
+@pytest.mark.parametrize("model", ["ubm", "tvm"])
+def test_cli_zero_em_iterations_save_the_initial_model(tmp_path, capsys, model):
+    cfg = _tiny_config(tmp_path / "run")
+    getattr(cfg, model).n_iters = 0
+    path = tmp_path / "cfg.yaml"
+    save_config(cfg, path)
+    assert main(["run-all", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("no EM iterations") == 1
+    assert "min_cprimary" in out
+
 
 def test_cli_runs_fresh_pipeline_and_reports(tiny_run, capsys):
     _, out, _ = tiny_run

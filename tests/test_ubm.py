@@ -211,6 +211,51 @@ def _kmeans_pp_oracle(frames, k, rng):
     return np.array(centers)
 
 
+def _init_oracle(frames, k, rng, lloyd_iters):
+    """k-means++, Lloyd steps and the initial model, each assignment taken
+    from the full (N, C, D) distance array."""
+    def nearest(centers):
+        return ((frames[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+    centers = _kmeans_pp_oracle(frames, k, rng)
+    for _ in range(lloyd_iters):
+        assign = nearest(centers)
+        for c in range(k):
+            if (assign == c).any():
+                centers[c] = frames[assign == c].mean(axis=0)
+    global_var = frames.var(axis=0)
+    floor = np.maximum(ubm.VAR_FLOOR_FRAC * global_var, 1e-12)
+    assign = nearest(centers)
+    weights = np.array([max((assign == c).sum(), 1.0) for c in range(k)])
+    variances = np.array([np.maximum(frames[assign == c].var(axis=0)
+                                     if (assign == c).any() else global_var, floor)
+                          for c in range(k)])
+    return DiagGmm(weights / weights.sum(), centers, variances)
+
+
+def _bisector_frames(rng, a, b, n):
+    """Frames on the perpendicular bisector of centers a and b, close to
+    their midpoint, each coordinate then moved by one ulp up or down."""
+    normal = (b - a) / np.linalg.norm(b - a)
+    offsets = rng.standard_normal((n, a.shape[0])) * 0.3
+    offsets -= np.outer(offsets @ normal, normal)
+    frames = (a + b) / 2 + offsets
+    return np.nextafter(frames, np.where(rng.random(frames.shape) < 0.5, -np.inf, np.inf))
+
+
+def _count_direct_rows(monkeypatch):
+    """Count the frames _nearest hands to its direct-form fallback."""
+    rows = [0]
+    direct = ubm._direct_nearest
+
+    def counting(frames, centers):
+        rows[0] += frames.shape[0]
+        return direct(frames, centers)
+
+    monkeypatch.setattr(ubm, "_direct_nearest", counting)
+    return rows
+
+
 def _frames(n, seed, dim=5):
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((4, dim)) * 3.0
@@ -228,28 +273,50 @@ class TestBlockwiseTraining:
         init = train_gmm(frames, 6, n_iters=0, seed=4)
         got = train_gmm(frames, 6, n_iters=5, seed=4)
         want = _em_oracle(frames, init, 5)
+        # The training E-step is component-major; its sums run in another
+        # order than the oracle's, so even one block agrees only to rounding.
         for name in ("weights", "means", "variances", "em_loglik"):
-            if n <= ubm.BLOCK_FRAMES:  # one block: the same sums in the same order
-                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-            else:
-                np.testing.assert_allclose(getattr(got, name), getattr(want, name),
-                                           rtol=1e-10, atol=0)
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=1e-10, atol=0)
 
-    @pytest.mark.parametrize("integer", [False, True], ids=["real", "ties"])
-    def test_nearest_equals_full_argmin(self, integer):
+    @pytest.mark.parametrize("kind", ["real", "ties", "near-ties"])
+    def test_nearest_equals_full_argmin(self, kind, monkeypatch):
         rng = np.random.default_rng(73)
         n = int(2.5 * ubm.BLOCK_FRAMES)
-        if integer:  # small integer grids: many exact ties, and a duplicate center
+        if kind == "ties":  # small integer grids: many exact ties, and a duplicate center
             frames = rng.integers(-2, 3, size=(n, 3)).astype(float)
             centers = rng.integers(-2, 3, size=(6, 3)).astype(float)
             centers[4] = centers[1]
         else:
             frames = rng.standard_normal((n, 3))
             centers = rng.standard_normal((6, 3))
+        if kind == "near-ties":
+            frames = _bisector_frames(rng, centers[0], centers[1], n)
+        rows = _count_direct_rows(monkeypatch)
         full = ((frames[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(ubm._nearest(frames, centers), full.argmin(axis=1))
-        if integer:
+        if kind == "ties":
             assert ((full == full.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        if kind == "near-ties":  # the direct-form fallback ran
+            assert rows[0] > 0
+
+    @pytest.mark.parametrize("kind", ["real", "near-ties", "ties"])
+    def test_initialization_matches_direct_oracle(self, kind, monkeypatch):
+        rng = np.random.default_rng(76)
+        n, k = int(2.5 * ubm.BLOCK_FRAMES), 6
+        if kind == "real":
+            frames = _frames(n, seed=76)
+        elif kind == "near-ties":  # a decimal grid: ties that rounding breaks
+            frames = rng.integers(-2, 3, size=(n, 3)) * 0.1
+        else:
+            frames = rng.integers(-2, 3, size=(n, 3)).astype(float)
+        rows = _count_direct_rows(monkeypatch)
+        got = train_gmm(frames, k, n_iters=0, seed=4)
+        want = _init_oracle(frames, k, np.random.default_rng(4), lloyd_iters=5)
+        for name in ("weights", "means", "variances"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        if kind != "real":  # the grids reach the direct-form fallback
+            assert rows[0] > 0
 
     def test_kmeans_pp_matches_unblocked_oracle(self):
         frames = _frames(int(2.5 * ubm.BLOCK_FRAMES), seed=74)
