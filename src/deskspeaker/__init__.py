@@ -10,7 +10,6 @@ from .errors import (DegenerateScoreSetError, DegenerateWeightsError,
                      DeskSpeakerError, EmptyInputError, FormatError,
                      MissingAttentionError, NumericsError,
                      StageDependencyError, TooShortUtteranceError)
-from .fileio import AcousticFrameSequence
 from .harness import (Report, SystemResult, expand_frame_weights,
                       load_report, run_pipeline)
 from .ivector import (SufficientStats, TotalVariabilityModel,
@@ -23,7 +22,7 @@ from .ubm import DiagGmm, gmm_loglik, gmm_posteriors, train_gmm
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcousticFrameSequence", "PipelineConfig", "default_config",
+    "PipelineConfig", "default_config",
     "load_config", "save_config", "config_to_dict", "copy_config",
     "run_pipeline", "Report", "SystemResult", "load_report",
     "expand_frame_weights", "SynthCorpus",

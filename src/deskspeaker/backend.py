@@ -79,10 +79,6 @@ class PldaModel:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @property
-    def speaker_dim(self) -> int:
-        return self.speaker_subspace.shape[1]
-
     def save(self, path):
         write_plda(path, self.mean, self.speaker_subspace, self.within_cov)
 

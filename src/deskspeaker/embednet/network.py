@@ -112,11 +112,6 @@ def init_embed_net(cfg: EmbedNetConfig, rng: np.random.Generator,
                           seg2, BatchNorm.identity(cfg.embed_dim), out)
 
 
-def _as_frames(x) -> np.ndarray:
-    frames = getattr(x, "frames", x)
-    return np.asarray(frames, dtype=np.float64)
-
-
 def _splice(x: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
     n_out = x.shape[0] - (offsets[-1] - offsets[0])
     return np.hstack([x[(o - offsets[0]):(o - offsets[0]) + n_out] for o in offsets])
@@ -178,7 +173,7 @@ def _pool_forward(params: EmbedNetParams, h: np.ndarray, weights, cache: dict | 
 
 def tdnn_forward(frames, params: EmbedNetParams) -> np.ndarray:
     """Hidden frame sequence h (valid frames only: L_out = L - total context)."""
-    return _forward_frames(params, _as_frames(frames))
+    return _forward_frames(params, np.asarray(frames, dtype=np.float64))
 
 
 def hidden_attention_weights(h: np.ndarray, params: EmbedNetParams) -> np.ndarray:

@@ -15,9 +15,9 @@ import logging
 import numpy as np
 
 from ..errors import EmptyInputError, NumericsError
-from .network import (EmbedNetConfig, EmbedNetParams, _as_frames,
-                      _check_context, _param_items, chunk_loss_and_grads,
-                      init_embed_net, relu_inputs, relu_sites)
+from .network import (EmbedNetConfig, EmbedNetParams, _check_context,
+                      _param_items, chunk_loss_and_grads, init_embed_net,
+                      relu_inputs, relu_sites)
 
 log = logging.getLogger(__name__)
 
@@ -46,11 +46,11 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig,
                         utt_ids=None) -> EmbedNetParams:
     """Train a speaker-classification network and return its parameters.
 
-    utterances: list of (L, D) frame arrays (or frame-sequence objects);
+    utterances: list of (L, D) frame arrays;
     labels: parallel list of speaker indices in [0, cfg.n_speakers);
     utt_ids: optional parallel list of names, used in error messages.
     """
-    frames = [_as_frames(u) for u in utterances]
+    frames = [np.asarray(u, dtype=np.float64) for u in utterances]
     if not frames:
         raise EmptyInputError("empty training corpus")
     labels = [int(lb) for lb in labels]

@@ -6,7 +6,7 @@ class DeskSpeakerError(Exception):
 
 
 class EmptyInputError(DeskSpeakerError, ValueError):
-    """Input carries no usable frames (e.g. an empty frame sequence)."""
+    """Input carries no usable frames (e.g. a frame matrix with no rows)."""
 
 
 class TooShortUtteranceError(DeskSpeakerError, ValueError):

@@ -1,5 +1,5 @@
 """Frame-level front end: logistic soft-VAD posteriors over acoustic frame
-sequences.
+matrices.
 
 Conventions
 -----------
@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyInputError
-from .fileio import AcousticFrameSequence
 
 
 def _moving_average(x: np.ndarray, radius: int) -> np.ndarray:
@@ -29,7 +28,7 @@ def _moving_average(x: np.ndarray, radius: int) -> np.ndarray:
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 
-def soft_vad_posteriors(seq: AcousticFrameSequence, slope: float, offset: float,
+def soft_vad_posteriors(frames: np.ndarray, slope: float, offset: float,
                         smooth_radius: int) -> np.ndarray:
     """Per-frame voice posteriors from a logistic on log energy.
 
@@ -38,9 +37,9 @@ def soft_vad_posteriors(seq: AcousticFrameSequence, slope: float, offset: float,
     stand-in for a trained posterior stream; external posteriors can replace
     it via VPS1.
     """
-    if seq.dim < 1:
+    if frames.ndim != 2 or frames.shape[1] < 1:
         raise EmptyInputError("frames carry no log-energy column")
-    energy = seq.frames[:, 0]
+    energy = frames[:, 0]
     z = slope * (energy - (energy.mean() + offset))
     q = np.empty_like(z)
     pos = z >= 0

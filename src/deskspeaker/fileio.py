@@ -2,7 +2,7 @@
 
 All binary formats are little-endian. Frame-indexed matrices share one header
 layout: 4-byte magic, u32 row count L, u32 column count D, f32 frame period in
-seconds, followed by the payload row-major.
+seconds (FRAME_PERIOD; 0.0 for vector sets), followed by the payload row-major.
 
     AFS1  acoustic frames, L x D float32
     VPS1  voice posteriors, L x 1 float32
@@ -19,33 +19,15 @@ with one id per line.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInputError, FormatError
 
 
-@dataclass
-class AcousticFrameSequence:
-    """A sequence of acoustic feature frames, rows = frames."""
-
-    frames: np.ndarray  # (L, D) float64
-    frame_period: float = 0.01
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise EmptyInputError("frame sequence needs at least one frame")
-        if not self.frame_period > 0:  # written so that NaN fails too
-            raise FormatError("frame period must be positive")
-
-    def __len__(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
+FRAME_PERIOD = 0.01
+"""Seconds between frames: the period every AFS1, VPS1 and FWT1 writer
+puts in the header. Vector sets, whose rows are not frames, carry 0.0."""
 
 
 class _Cursor:
@@ -105,18 +87,28 @@ def _read_frame_matrix(path, magic: bytes):
     return data, float(period)
 
 
-def write_features(path, seq: AcousticFrameSequence):
-    _write_frame_matrix(path, b"AFS1", seq.frames, seq.frame_period)
+def write_features(path, frames: np.ndarray):
+    """An (L, D) frame matrix, L >= 1."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[0] < 1:
+        raise EmptyInputError(f"{path}: features need an (L, D) matrix with "
+                              f"at least one frame, got shape {frames.shape}")
+    _write_frame_matrix(path, b"AFS1", frames, FRAME_PERIOD)
 
 
-def read_features(path) -> AcousticFrameSequence:
-    data, period = _read_frame_matrix(path, b"AFS1")
-    return AcousticFrameSequence(data, period)
+def read_features(path) -> np.ndarray:
+    """The (L, D) float64 frames of an AFS1 file."""
+    frames, period = _read_frame_matrix(path, b"AFS1")
+    if frames.shape[0] < 1:
+        raise EmptyInputError(f"{path}: a feature file needs at least one frame")
+    if not period > 0:  # written so that NaN fails too
+        raise FormatError(f"{path}: frame period must be positive, found {period}")
+    return frames
 
 
-def write_posteriors(path, q: np.ndarray, frame_period: float = 0.01):
+def write_posteriors(path, q: np.ndarray):
     q = np.clip(np.asarray(q, dtype=np.float64), 0.0, 1.0)
-    _write_frame_matrix(path, b"VPS1", q, frame_period)
+    _write_frame_matrix(path, b"VPS1", q, FRAME_PERIOD)
 
 
 def read_posteriors(path) -> np.ndarray:
@@ -129,12 +121,12 @@ def read_posteriors(path) -> np.ndarray:
     return np.clip(q, 0.0, 1.0)
 
 
-def write_frame_weights(path, w: np.ndarray, frame_period: float = 0.01):
+def write_frame_weights(path, w: np.ndarray):
     w = np.asarray(w, dtype=np.float64)
     if np.any(w < 0) or not np.isfinite(w).all() or w.sum() <= 0:
         raise FormatError(f"{path}: frame weights must be non-negative "
                           "with positive total mass")
-    _write_frame_matrix(path, b"FWT1", w, frame_period)
+    _write_frame_matrix(path, b"FWT1", w, FRAME_PERIOD)
 
 
 def read_frame_weights(path) -> np.ndarray:

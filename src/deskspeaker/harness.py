@@ -45,7 +45,6 @@ from .embednet import (EmbedNetConfig, combine_weights, embed_hidden,
                        save_embed_net, tdnn_forward, train_embed_network)
 from .errors import DegenerateWeightsError, FormatError, StageDependencyError
 from .features import soft_vad_posteriors
-from .fileio import AcousticFrameSequence
 from .ivector import (TotalVariabilityModel, accumulate_stats,
                       extract_ivector, train_tvm, weighted_stats)
 from .metrics import TrialScoreSet, compute_eer, compute_min_cprimary
@@ -199,8 +198,7 @@ def _stage_synth(cfg: PipelineConfig, out: Path, echo):
     for i, utt in enumerate(corpus.utt_ids):
         fileio.write_features(d / "feats" / f"{utt}.afs", corpus.features[i])
         fileio.write_posteriors(d / "voice" / f"{utt}.vps",
-                                corpus.voice[i].astype(np.float64),
-                                corpus.features[i].frame_period)
+                                corpus.voice[i].astype(np.float64))
     _write_manifest(d / "manifest.tsv", corpus)
     if echo:
         parts = {p: len(corpus.indices(p)) for p in PARTITIONS}
@@ -218,25 +216,25 @@ def _stage_features(cfg: PipelineConfig, out: Path, echo):
         (d / sub).mkdir(exist_ok=True)
     rows = _read_manifest(src / "manifest.tsv")
     for utt, _, _ in rows:
-        seq = fileio.read_features(src / "feats" / f"{utt}.afs")
+        frames = fileio.read_features(src / "feats" / f"{utt}.afs")
         if fcfg.posterior_dir is not None:
             q = fileio.read_posteriors(Path(fcfg.posterior_dir) / f"{utt}.vps")
-            if q.shape[0] != len(seq):
+            if q.shape[0] != frames.shape[0]:
                 raise FormatError(
                     f"external posteriors for {utt}: {q.shape[0]} frames, "
-                    f"expected {len(seq)}")
+                    f"expected {frames.shape[0]}")
         else:
-            q = soft_vad_posteriors(seq, fcfg.soft_vad_slope, fcfg.soft_vad_offset,
+            q = soft_vad_posteriors(frames, fcfg.soft_vad_slope, fcfg.soft_vad_offset,
                                     fcfg.soft_vad_smooth_radius)
-        fileio.write_features(d / "feats" / f"{utt}.afs", seq)
-        fileio.write_posteriors(d / "q" / f"{utt}.vps", q, seq.frame_period)
+        fileio.write_features(d / "feats" / f"{utt}.afs", frames)
+        fileio.write_posteriors(d / "q" / f"{utt}.vps", q)
     (d / "manifest.tsv").write_text((src / "manifest.tsv").read_text())
     if echo:
         source = fcfg.posterior_dir or "soft VAD"
         echo(f"  posteriors for {len(rows)} utterances from {source}")
 
 
-def _read_processed(out, utt: str) -> AcousticFrameSequence:
+def _read_processed(out, utt: str) -> np.ndarray:
     return fileio.read_features(
         _stage_dir(out, "features") / "feats" / f"{utt}.afs")
 
@@ -252,7 +250,7 @@ def _train_rows(out):
 def _stage_train_embed(cfg: PipelineConfig, out: Path, echo):
     """Train the embedding network(s)."""
     train = _train_rows(out)
-    utts = [_read_processed(out, utt).frames for utt, _, _ in train]
+    utts = [_read_processed(out, utt) for utt, _, _ in train]
     speakers = sorted({spk for _, spk, _ in train})
     label_of = {spk: i for i, spk in enumerate(speakers)}
     labels = [label_of[spk] for _, spk, _ in train]
@@ -284,7 +282,7 @@ def _stage_train_embed(cfg: PipelineConfig, out: Path, echo):
 
 def _stage_train_ubm(cfg: PipelineConfig, out: Path, echo):
     """Train the background mixture model."""
-    frames = np.vstack([_read_processed(out, utt).frames
+    frames = np.vstack([_read_processed(out, utt)
                         for utt, _, _ in _train_rows(out)])
     gmm = train_gmm(frames, cfg.ubm.n_components, cfg.ubm.n_iters,
                     seed=cfg.seed + 13)
@@ -300,7 +298,7 @@ def _stage_train_ubm(cfg: PipelineConfig, out: Path, echo):
 def _stage_train_tvm(cfg: PipelineConfig, out: Path, echo):
     """Train the total-variability subspace."""
     gmm = DiagGmm.load(_stage_dir(out, "train-ubm") / "ubm.gmm1")
-    stats_list = [accumulate_stats(_read_processed(out, utt).frames, gmm)
+    stats_list = [accumulate_stats(_read_processed(out, utt), gmm)
                   for utt, _, _ in _train_rows(out)]
     tvm = train_tvm(stats_list, gmm, cfg.tvm.rank, cfg.tvm.n_iters,
                     seed=cfg.seed + 14)
@@ -334,8 +332,7 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
     qdir = _stage_dir(out, "features") / "q"
 
     for utt, _, part in rows:
-        seq = _read_processed(out, utt)
-        frames = seq.frames
+        frames = _read_processed(out, utt)
         n = frames.shape[0]
         q = fileio.read_posteriors(qdir / f"{utt}.vps")
 
@@ -347,7 +344,7 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
         if export_weights:
             alpha = hidden_attention_weights(hidden["att"], nets["att"])
             path = weights_dir / f"{utt}.fwt"
-            fileio.write_frame_weights(path, alpha, seq.frame_period)
+            fileio.write_frame_weights(path, alpha)
             # S3 and S6 consume the weights as exported (float32, then
             # renormalized); S2 keeps its own float64 alpha.
             exported = fileio.read_frame_weights(path)

@@ -62,7 +62,7 @@ def accumulate_stats(frames, gmm: DiagGmm, weights: np.ndarray | None = None) ->
     weights, when given, must be a length-L simplex vector; each frame's
     posterior contribution is scaled by L * weights[t]. None means uniform.
     """
-    frames = np.asarray(getattr(frames, "frames", frames), dtype=np.float64)
+    frames = np.asarray(frames, dtype=np.float64)
     return weighted_stats(frames, gmm_posteriors(frames, gmm), gmm, weights)
 
 

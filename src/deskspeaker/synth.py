@@ -8,24 +8,15 @@ noise frames are energy-separable: noise frames come from one shared
 low-energy distribution (no speaker information) and are injected in bursts
 covering an exact, per-utterance count of frames.
 
-``component_speaker_gain`` makes frame informativeness vary the way it does
-across phones in real speech. When set, mixture components become shared
-anchor clusters and the speaker contribution on a frame is scaled by the
-gain of the component that produced it; a gain of zero yields voice frames
-that sound the same from every speaker. Left at ``None``, every voice frame
-carries the full speaker offset and generation is unchanged.
-
 Everything is deterministic in the master seed; each utterance draws from its
 own spawned child stream, so generation order is immaterial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .fileio import AcousticFrameSequence
 
 
 @dataclass
@@ -39,7 +30,6 @@ class SynthCorpusConfig:
     component_spread: float = 1.0
     residual_std: float = 0.7
     n_components: int = 4
-    component_speaker_gain: tuple[float, ...] | None = None
     noise_frame_fraction: float = 0.30
     noise_fraction_jitter: float = 0.0
     noise_feature_std: float = 0.3
@@ -49,7 +39,6 @@ class SynthCorpusConfig:
     noise_energy_std: float = 0.3
     train_speaker_fraction: float = 0.7
     enroll_utts_per_speaker: int = 3
-    frame_period: float = 0.01
 
     def __post_init__(self):
         if not 0.0 <= self.noise_frame_fraction < 1.0:
@@ -62,25 +51,22 @@ class SynthCorpusConfig:
             raise ValueError("need at least two speakers")
         if not 0.0 < self.train_speaker_fraction < 1.0:
             raise ValueError("train_speaker_fraction must lie in (0, 1)")
+        if self.frames_per_utt < 1:
+            raise ValueError("frames_per_utt must be at least 1")
+        if self.enroll_utts_per_speaker < 1:
+            raise ValueError("enroll_utts_per_speaker must be at least 1: "
+                             "the enroll partition would be empty")
         if self.utts_per_speaker <= self.enroll_utts_per_speaker:
             raise ValueError("evaluation speakers need utterances left over for test")
-        if self.component_speaker_gain is not None:
-            gains = tuple(float(g) for g in self.component_speaker_gain)
-            if len(gains) != self.n_components:
-                raise ValueError("component_speaker_gain needs one gain per component")
-            if any(g < 0 or not np.isfinite(g) for g in gains):
-                raise ValueError("component speaker gains must be finite and non-negative")
-            self.component_speaker_gain = gains
 
 
 @dataclass
 class SynthCorpus:
     utt_ids: list[str]
     speakers: list[str]
-    features: list[AcousticFrameSequence]
+    features: list[np.ndarray]  # (frames_per_utt, feature_dim) float64
     voice: list[np.ndarray]   # bool per frame, True = voice
     partition: list[str]      # "train" | "enroll" | "test"
-    speaker_of: dict[str, str] = field(default_factory=dict)
 
     def indices(self, part: str) -> list[int]:
         return [i for i, p in enumerate(self.partition) if p == part]
@@ -116,12 +102,6 @@ def generate_corpus(cfg: SynthCorpusConfig, seed: int) -> SynthCorpus:
     speaker_means = master.standard_normal((cfg.n_speakers, fdim)) * cfg.speaker_spread
     component_offsets = master.standard_normal(
         (cfg.n_speakers, cfg.n_components, fdim)) * cfg.component_spread
-    gains = None
-    anchors = None
-    if cfg.component_speaker_gain is not None:
-        gains = np.asarray(cfg.component_speaker_gain, dtype=np.float64)
-        anchors = master.standard_normal(
-            (cfg.n_components, fdim)) * cfg.component_spread
 
     n_train_speakers = int(round(cfg.train_speaker_fraction * cfg.n_speakers))
     n_train_speakers = min(max(n_train_speakers, 1), cfg.n_speakers - 1)
@@ -131,7 +111,6 @@ def generate_corpus(cfg: SynthCorpusConfig, seed: int) -> SynthCorpus:
     length = cfg.frames_per_utt
 
     utt_ids, speakers, features, voice, partition = [], [], [], [], []
-    speaker_of: dict[str, str] = {}
     u = 0
     for s in range(cfg.n_speakers):
         spk = f"spk{s:03d}"
@@ -157,8 +136,6 @@ def generate_corpus(cfg: SynthCorpusConfig, seed: int) -> SynthCorpus:
             channel = rng.standard_normal(fdim) * cfg.channel_spread
             comps = rng.integers(0, cfg.n_components, size=length)
             identity = speaker_means[s] + component_offsets[s][comps]
-            if gains is not None:
-                identity = gains[comps][:, None] * identity + anchors[comps]
             body = (identity + channel
                     + rng.standard_normal((length, fdim)) * cfg.residual_std)
             frames[:, 1:] = body
@@ -173,8 +150,7 @@ def generate_corpus(cfg: SynthCorpusConfig, seed: int) -> SynthCorpus:
             utt_id = f"{spk}_u{j:02d}"
             utt_ids.append(utt_id)
             speakers.append(spk)
-            speaker_of[utt_id] = spk
-            features.append(AcousticFrameSequence(frames, cfg.frame_period))
+            features.append(frames)
             voice.append(~noise)
             if s < n_train_speakers:
                 partition.append("train")
@@ -183,4 +159,4 @@ def generate_corpus(cfg: SynthCorpusConfig, seed: int) -> SynthCorpus:
             else:
                 partition.append("test")
 
-    return SynthCorpus(utt_ids, speakers, features, voice, partition, speaker_of)
+    return SynthCorpus(utt_ids, speakers, features, voice, partition)

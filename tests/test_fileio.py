@@ -10,43 +10,43 @@ from deskspeaker import fileio
 from deskspeaker.embednet import (EmbedNetConfig, init_embed_net,
                                   load_embed_net, save_embed_net)
 from deskspeaker.errors import EmptyInputError, FormatError
-from deskspeaker.fileio import AcousticFrameSequence
-
-
-def _seq(rng, n=7, d=3, period=0.01):
-    return AcousticFrameSequence(rng.standard_normal((n, d)), period)
 
 
 class TestFrameSequences:
     def test_features_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        seq = _seq(rng)
+        frames = rng.standard_normal((7, 3))
         path = tmp_path / "u.afs"
-        fileio.write_features(path, seq)
+        fileio.write_features(path, frames)
         back = fileio.read_features(path)
-        assert back.frames.shape == (7, 3)
-        assert back.frame_period == pytest.approx(0.01, abs=1e-9)
+        assert back.shape == (7, 3)
+        # the header's period is the fixed 10 ms, as a little-endian f32
+        assert path.read_bytes()[12:16] == struct.pack("<f", 0.01)
         # storage is float32, so round-tripping equals the cast, not the original
-        np.testing.assert_array_equal(back.frames,
-                                      seq.frames.astype(np.float32).astype(np.float64))
+        np.testing.assert_array_equal(back, frames.astype(np.float32).astype(np.float64))
 
     def test_single_frame_ok(self, tmp_path):
-        seq = AcousticFrameSequence(np.array([[1.0, 2.0]]), 0.02)
-        fileio.write_features(tmp_path / "one.afs", seq)
-        assert len(fileio.read_features(tmp_path / "one.afs")) == 1
+        fileio.write_features(tmp_path / "one.afs", np.array([[1.0, 2.0]]))
+        assert fileio.read_features(tmp_path / "one.afs").shape == (1, 2)
         # a frame period of NaN is refused, as a non-positive one is
         path = tmp_path / "nan-period.afs"
         path.write_bytes(struct.pack("<4sIIf2f", b"AFS1", 1, 2, float("nan"), 1.0, 2.0))
         with pytest.raises(FormatError, match="frame period"):
             fileio.read_features(path)
 
-    def test_empty_frames_rejected(self):
+    def test_empty_frames_rejected(self, tmp_path):
         with pytest.raises(EmptyInputError):
-            AcousticFrameSequence(np.empty((0, 4)), 0.01)
+            fileio.write_features(tmp_path / "none.afs", np.empty((0, 4)))
+        path = tmp_path / "zero-rows.afs"
+        path.write_bytes(struct.pack("<4sIIf", b"AFS1", 0, 4, 0.01))
+        with pytest.raises(EmptyInputError, match="zero-rows.afs"):
+            fileio.read_features(path)
 
-    def test_non_2d_rejected(self):
+    def test_non_2d_rejected(self, tmp_path):
+        # written as is, a 1-D input would become one column
         with pytest.raises(EmptyInputError):
-            AcousticFrameSequence(np.zeros(5), 0.01)
+            fileio.write_features(tmp_path / "flat.afs", np.zeros(5))
+        assert not (tmp_path / "flat.afs").exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.afs"
@@ -57,7 +57,7 @@ class TestFrameSequences:
     def test_truncated_payload(self, tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "cut.afs"
-        fileio.write_features(path, _seq(rng))
+        fileio.write_features(path, rng.standard_normal((7, 3)))
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         with pytest.raises(FormatError):
@@ -68,7 +68,7 @@ class TestPosteriorsAndWeights:
     def test_posteriors_round_trip_and_clip(self, tmp_path):
         q = np.array([-0.25, 0.0, 0.5, 1.0, 1.75])
         path = tmp_path / "u.vps"
-        fileio.write_posteriors(path, q, 0.01)
+        fileio.write_posteriors(path, q)
         back = fileio.read_posteriors(path)
         np.testing.assert_allclose(back, [0.0, 0.0, 0.5, 1.0, 1.0], atol=0)
         assert back.ndim == 1
@@ -83,7 +83,7 @@ class TestPosteriorsAndWeights:
         w = rng.random(11)
         w /= w.sum()
         path = tmp_path / "u.fwt"
-        fileio.write_frame_weights(path, w, 0.01)
+        fileio.write_frame_weights(path, w)
         back = fileio.read_frame_weights(path)
         # float32 storage perturbs the sum; the reader restores exact unit mass
         assert back.sum() == pytest.approx(1.0, abs=1e-15)
@@ -92,7 +92,7 @@ class TestPosteriorsAndWeights:
     def test_negative_weights_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             fileio.write_frame_weights(tmp_path / "bad.fwt",
-                                       np.array([0.5, -0.1, 0.6]), 0.01)
+                                       np.array([0.5, -0.1, 0.6]))
         # the reader refuses them too, although the total mass is positive
         path = tmp_path / "negative.fwt"
         path.write_bytes(struct.pack("<4sIIf3f", b"FWT1", 3, 1, 0.01, 0.5, -0.1, 0.6))
@@ -228,7 +228,7 @@ def test_model_file_with_trailing_bytes_raises_format_error(tmp_path, write, rea
 
 def _frame_files():
     frames = np.arange(6.0).reshape(3, 2)
-    yield ("AFS1", lambda p: fileio.write_features(p, AcousticFrameSequence(frames, 0.01)),
+    yield ("AFS1", lambda p: fileio.write_features(p, frames),
            fileio.read_features, "")
     yield ("VPS1", lambda p: fileio.write_posteriors(p, np.array([0.1, 0.5, 0.9])),
            fileio.read_posteriors, "")

@@ -209,7 +209,7 @@ def test_extract_equals_per_variant_recomputation(tiny_run):
     for part in ("train", "enroll", "test"):
         for utt in [u for u, _, p in rows if p == part][:2]:
             frames = fileio.read_features(
-                out / "features" / "feats" / f"{utt}.afs").frames
+                out / "features" / "feats" / f"{utt}.afs")
             q = fileio.read_posteriors(out / "features" / "q" / f"{utt}.vps")
             exported = fileio.read_frame_weights(out / "weights" / f"{utt}.fwt")
             for system in cfg.systems:
@@ -418,11 +418,15 @@ def test_every_config_field_is_fingerprinted():
 
 def test_config_with_synth_seed_is_refused(tmp_path):
     # Keys an earlier version wrote are refused, not ignored: the corpus is
-    # drawn from the master seed, with no second seed, and the hard energy
-    # VAD went with its threshold offset.
+    # drawn from the master seed, with no second seed, the hard energy VAD
+    # went with its threshold offset, every frame file carries the one fixed
+    # frame period, and the per-component speaker gains went unused.
     path = tmp_path / "old.yaml"
     for text, key in [("seed: 5\nsynth:\n  seed: 3\n", "synth.seed"),
-                      ("features:\n  vad_offset: -0.5\n", "features.vad_offset")]:
+                      ("features:\n  vad_offset: -0.5\n", "features.vad_offset"),
+                      ("synth:\n  frame_period: 0.01\n", "synth.frame_period"),
+                      ("synth:\n  component_speaker_gain: [1, 1, 1, 1]\n",
+                       "synth.component_speaker_gain")]:
         path.write_text(text)
         with pytest.raises(ValueError, match=key):
             load_config(path)
@@ -432,15 +436,15 @@ def test_default_fingerprints_are_pinned():
     # Run directories stamped by earlier versions stay valid only while the
     # fingerprint payload is unchanged.
     assert harness._stage_fingerprints(default_config()) == {
-        "synth": "ca92051a08d9cb62",
-        "features": "953e148c5d6b55d6",
-        "train-embed": "5f15c6e48ef41980",
-        "train-ubm": "a574e47d5c9e0d40",
-        "train-tvm": "1b30265e55cfaf69",
-        "extract": "bb9caf7f1b2fa948",
-        "backend": "fb763c16e514c327",
-        "score": "11f75583bd527506",
-        "report": "a9db84df6c241ab8",
+        "synth": "935d8132d6985e02",
+        "features": "953b12b5c27c5097",
+        "train-embed": "dc79b3bfc0ef27cd",
+        "train-ubm": "798feeac0f918d55",
+        "train-tvm": "c0bffe96793977af",
+        "extract": "81a1856f6e86274f",
+        "backend": "1ab95378fa6e8857",
+        "score": "a5e545c4d64b1c0f",
+        "report": "7973642859b29b64",
     }
 
 
@@ -582,6 +586,20 @@ def test_cli_names_an_utterance_shorter_than_the_context(tmp_path, capsys):
     assert err.startswith("deskspeaker: ")
     assert any(f"utterance {utt}: " in err for utt in _utt_ids(tmp_path / "run"))
     assert "14 frames" in err and "15 frames" in err
+
+
+def test_cli_refuses_an_empty_enroll_partition(tmp_path, capsys):
+    # Refused when the config is loaded, before synth stamps a corpus that
+    # every model would then be trained on in vain.
+    cfg = _tiny_config(tmp_path / "run")
+    cfg.synth.enroll_utts_per_speaker = 0
+    path = tmp_path / "cfg.yaml"
+    save_config(cfg, path)
+    assert main(["run-all", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("deskspeaker: ")
+    assert "enroll_utts_per_speaker" in err and "empty" in err
+    assert not (tmp_path / "run" / "corpus" / ".stamp.json").exists()
 
 
 @pytest.mark.parametrize("model", ["ubm", "tvm"])

@@ -20,14 +20,14 @@ class TestDeterminism:
         assert a.utt_ids == b.utt_ids
         assert a.partition == b.partition
         for fa, fb in zip(a.features, b.features):
-            np.testing.assert_array_equal(fa.frames, fb.frames)
+            np.testing.assert_array_equal(fa, fb)
         for va, vb in zip(a.voice, b.voice):
             np.testing.assert_array_equal(va, vb)
 
     def test_different_seed_differs(self):
         a = generate_corpus(_small_cfg(), seed=3)
         b = generate_corpus(_small_cfg(), seed=4)
-        assert not np.array_equal(a.features[0].frames, b.features[0].frames)
+        assert not np.array_equal(a.features[0], b.features[0])
 
 
 class TestGroundTruth:
@@ -58,15 +58,15 @@ class TestGroundTruth:
 
     def test_energy_separates_voice_from_noise(self):
         corpus = generate_corpus(_small_cfg(noise_frame_fraction=0.3), seed=3)
-        voice_e = np.concatenate([f.frames[v, 0]
+        voice_e = np.concatenate([f[v, 0]
                                   for f, v in zip(corpus.features, corpus.voice)])
-        noise_e = np.concatenate([f.frames[~v, 0]
+        noise_e = np.concatenate([f[~v, 0]
                                   for f, v in zip(corpus.features, corpus.voice)])
         assert voice_e.mean() - noise_e.mean() > 3.0
         # a fixed midpoint threshold recovers the flags almost everywhere
         errors = 0
         for feats, flags in zip(corpus.features, corpus.voice):
-            errors += int(((feats.frames[:, 0] > -1.0) != flags).sum())
+            errors += int(((feats[:, 0] > -1.0) != flags).sum())
         assert errors / sum(len(f) for f in corpus.voice) < 0.01
 
     def test_noise_frames_carry_no_speaker_offset(self):
@@ -74,7 +74,7 @@ class TestGroundTruth:
         # follow one shared small-spread distribution
         corpus = generate_corpus(_small_cfg(noise_frame_fraction=0.4,
                                             speaker_spread=6.0), seed=3)
-        noise_rows = np.concatenate([f.frames[~v, 1:]
+        noise_rows = np.concatenate([f[~v, 1:]
                                      for f, v in zip(corpus.features, corpus.voice)])
         assert np.abs(noise_rows.mean(axis=0)).max() < 0.1
         assert noise_rows.std() < 0.5
@@ -127,11 +127,9 @@ class TestPartition:
         corpus = generate_corpus(cfg, seed=3)
         assert len(set(corpus.utt_ids)) == len(corpus) == 30
         for feats, flags in zip(corpus.features, corpus.voice):
-            assert feats.frames.shape == (cfg.frames_per_utt, cfg.feature_dim)
+            assert feats.shape == (cfg.frames_per_utt, cfg.feature_dim)
+            assert feats.dtype == np.float64
             assert flags.shape == (cfg.frames_per_utt,)
-            assert feats.frame_period == cfg.frame_period
-        for uid, spk in zip(corpus.utt_ids, corpus.speakers):
-            assert corpus.speaker_of[uid] == spk
 
 
 class TestSeparability:
@@ -141,7 +139,7 @@ class TestSeparability:
                                 speaker_spread=5.0, channel_spread=0.5,
                                 noise_frame_fraction=0.0)
         corpus = generate_corpus(cfg, seed=11)
-        means = np.array([f.frames[:, 1:].mean(axis=0) for f in corpus.features])
+        means = np.array([f[:, 1:].mean(axis=0) for f in corpus.features])
         labels = np.array(corpus.speakers)
         spks = sorted(set(labels))
         centroids = np.array([means[labels == s].mean(axis=0) for s in spks])
@@ -176,3 +174,12 @@ class TestValidation:
     def test_enroll_must_leave_test_utterances(self):
         with pytest.raises(ValueError):
             _small_cfg(utts_per_speaker=3, enroll_utts_per_speaker=3)
+        # and must leave the enroll partition non-empty
+        for enroll in (0, -1):
+            with pytest.raises(ValueError, match="enroll_utts_per_speaker"):
+                _small_cfg(enroll_utts_per_speaker=enroll)
+
+    def test_frames_per_utt_must_be_positive(self):
+        for frames in (0, -1):
+            with pytest.raises(ValueError, match="frames_per_utt"):
+                _small_cfg(frames_per_utt=frames)
