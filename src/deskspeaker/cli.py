@@ -46,7 +46,6 @@ def _resolve_config(args):
         cfg.systems = tuple(s.strip() for s in args.systems.split(",") if s.strip())
     if args.soft_vad is not None:
         cfg.soft_vad = args.soft_vad
-    cfg.__post_init__()
     return cfg
 
 

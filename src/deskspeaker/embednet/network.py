@@ -4,6 +4,10 @@ Everything is float64 numpy. Normalization layers read their running buffers
 during the differentiated computation (the buffers are updated between steps,
 never inside them), so the analytic gradients are exact for the loss actually
 evaluated and can be checked against central finite differences.
+
+Inference runs the TDNN stack folded (fold_tdnn): each norm is an affine map
+with fixed constants, so it moves into the next layer's weights and bias, and
+the result equals the training forward's to rounding.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 from ..errors import (FormatError, MissingAttentionError,
                       TooShortUtteranceError)
 from ..fileio import read_named_tensors, write_named_tensors
-from .ops import (AttentionParams, BatchNorm, _block_forward,
+from .ops import (AttentionParams, BatchNorm, _block_forward, _row_products,
                   attention_scores, attention_weights, pool_weighted_stats)
 
 DEFAULT_TDNN_OFFSETS = ((-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3), (0,), (0,))
@@ -79,6 +83,24 @@ class EmbedNetParams:
         return sum(max(layer.offsets) for layer in self.tdnn)
 
 
+@dataclass(frozen=True)
+class FoldedTdnn:
+    """The TDNN stack of a net, folded for inference by fold_tdnn.
+
+    layers holds (offsets, taps, bias) per layer, with one (in, out) tap per
+    offset; every norm but the last is folded into the layer after it, and
+    the last one is h = scale * r + shift. It copies what it uses, so
+    training the source net afterwards leaves it stale: fold again.
+    """
+
+    input_dim: int
+    left_context: int
+    right_context: int
+    layers: tuple
+    scale: np.ndarray
+    shift: np.ndarray
+
+
 def init_embed_net(cfg: EmbedNetConfig, rng: np.random.Generator,
                    head_rng: np.random.Generator | None = None) -> EmbedNetParams:
     """Fresh parameters: the shared layers (TDNN, segment, output) draw from
@@ -117,7 +139,7 @@ def _splice(x: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
     return np.hstack([x[(o - offsets[0]):(o - offsets[0]) + n_out] for o in offsets])
 
 
-def _check_context(params: EmbedNetParams, n_frames: int, utt_id=None):
+def _check_context(params: EmbedNetParams | FoldedTdnn, n_frames: int, utt_id=None):
     """Raise TooShortUtteranceError unless n_frames cover the whole context."""
     needed = params.left_context + params.right_context + 1
     if n_frames < needed:
@@ -139,29 +161,82 @@ def _forward_frames(params: EmbedNetParams, x: np.ndarray, cache: list | None = 
     return y
 
 
+def fold_tdnn(params: EmbedNetParams | FoldedTdnn) -> FoldedTdnn:
+    """Fold every norm of the TDNN stack into the layer after it.
+
+    A norm outputs y = a * r + c, with a = gamma / sqrt(var + eps) and
+    c = beta - mean * a. The next layer reads y through its spliced weight
+    W and bias b, so it may read r instead through W * tile(a) and
+    b + W @ tile(c). A FoldedTdnn passes through unchanged.
+    """
+    if isinstance(params, FoldedTdnn):
+        return params
+    layers = []
+    scale = shift = None
+    for layer in params.tdnn:
+        weight, bias = layer.linear.weight, layer.linear.bias
+        n_taps = len(layer.offsets)
+        if scale is not None:
+            bias = bias + weight @ np.tile(shift, n_taps)
+            weight = weight * np.tile(scale, n_taps)
+        width = weight.shape[1] // n_taps
+        taps = tuple(np.ascontiguousarray(weight[:, j * width:(j + 1) * width].T)
+                     for j in range(n_taps))
+        layers.append((layer.offsets, taps, bias))
+        scale = layer.norm.gamma * layer.norm.scale()
+        shift = layer.norm.beta - layer.norm.running_mean * scale
+    return FoldedTdnn(params.input_dim, params.left_context, params.right_context,
+                      tuple(layers), scale, shift)
+
+
+def _folded_forward(net: FoldedTdnn, x: np.ndarray) -> np.ndarray:
+    """The TDNN stack through its folded layers: per layer one GEMM per
+    offset into one sum, the bias and an in-place ReLU; the last norm once."""
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise FormatError(f"expected (L, {net.input_dim}) input, got {x.shape}")
+    _check_context(net, x.shape[0])
+    r = x
+    for offsets, taps, bias in net.layers:
+        n_out = r.shape[0] - (offsets[-1] - offsets[0])
+        z = r[:n_out] @ taps[0]
+        for o, tap in zip(offsets[1:], taps[1:]):
+            start = o - offsets[0]
+            z += r[start:start + n_out] @ tap
+        z += bias
+        r = np.maximum(z, 0.0, out=z)
+    r *= net.scale
+    r += net.shift
+    return r
+
+
 def _attend(h: np.ndarray, params: EmbedNetParams, cache: dict | None = None):
     if params.attention is None:
         raise MissingAttentionError("network has no attention layer")
     return attention_weights(attention_scores(h, params.attention, cache))
 
 
+def _pool_weights(params: EmbedNetParams, h: np.ndarray, weights, cache: dict | None = None):
+    """Resolve a weight source: "uniform", "internal" (the network's own
+    attention) or explicit weights over the rows of h, passed through."""
+    if not isinstance(weights, str):
+        return weights
+    if weights == "uniform":
+        return np.full(h.shape[0], 1.0 / h.shape[0])
+    if weights == "internal":
+        return _attend(h, params, cache)
+    raise FormatError(f"unknown weight source {weights!r}")
+
+
 def _pool_forward(params: EmbedNetParams, h: np.ndarray, weights, cache: dict | None = None):
     """Everything above the TDNN stack: pool the hidden sequence h, then run
     the segment layers. Returns (embedding, logits).
 
-    weights: "uniform", "internal" (the network's own attention), or an
-    explicit per-frame weight vector over the rows of h. cache, when given,
-    receives the pooling weights (alpha), the attention head's and the
-    pooling's intermediates, and each segment layer's arrays as one-row
-    matrices: s (pooled statistics), emb/r1/y1 and z2/r2/y2.
+    weights: as for _pool_weights, one vector. cache, when given, receives
+    the pooling weights (alpha), the attention head's and the pooling's
+    intermediates, and each segment layer's arrays as one-row matrices:
+    s (pooled statistics), emb/r1/y1 and z2/r2/y2.
     """
-    if isinstance(weights, str):
-        if weights == "uniform":
-            weights = np.full(h.shape[0], 1.0 / h.shape[0])
-        elif weights == "internal":
-            weights = _attend(h, params, cache)
-        else:
-            raise FormatError(f"unknown weight source {weights!r}")
+    weights = _pool_weights(params, h, weights, cache)
     s = pool_weighted_stats(h, weights, cache).concat()[None, :]
     emb, r1, y1 = _block_forward(s, params.seg1, params.norm1)
     z2, r2, y2 = _block_forward(y1, params.seg2, params.norm2)
@@ -171,9 +246,13 @@ def _pool_forward(params: EmbedNetParams, h: np.ndarray, weights, cache: dict | 
     return emb[0], logits[0]
 
 
-def tdnn_forward(frames, params: EmbedNetParams) -> np.ndarray:
-    """Hidden frame sequence h (valid frames only: L_out = L - total context)."""
-    return _forward_frames(params, np.asarray(frames, dtype=np.float64))
+def tdnn_forward(frames, params: EmbedNetParams | FoldedTdnn) -> np.ndarray:
+    """Hidden frame sequence h (valid frames only: L_out = L - total context).
+
+    params: an EmbedNetParams, folded on each call, or a FoldedTdnn from
+    fold_tdnn, to fold a net once for many utterances.
+    """
+    return _folded_forward(fold_tdnn(params), np.asarray(frames, dtype=np.float64))
 
 
 def hidden_attention_weights(h: np.ndarray, params: EmbedNetParams) -> np.ndarray:
@@ -183,12 +262,16 @@ def hidden_attention_weights(h: np.ndarray, params: EmbedNetParams) -> np.ndarra
 
 def embed_hidden(h: np.ndarray, params: EmbedNetParams, weights="uniform") -> np.ndarray:
     """Segment embedding of a hidden sequence from tdnn_forward: pool it with
-    the requested weights, then apply the first segment layer.
+    the requested weights, then apply the first segment layer (and no layer
+    after it).
 
     weights: "uniform", "internal" (the network's own attention), or an
-    explicit per-frame weight vector over the valid frames.
+    explicit per-frame weight vector over the valid frames; a (k, L) matrix
+    of k weight rows gives the (k, embed_dim) embeddings of one pooling call,
+    each equal to its one-row call.
     """
-    return _pool_forward(params, h, weights)[0]
+    s = pool_weighted_stats(h, _pool_weights(params, h, weights)).concat()
+    return _row_products(s, params.seg1.weight.T) + params.seg1.bias
 
 
 def extract_embedding(frames, params: EmbedNetParams, weights="uniform") -> np.ndarray:

@@ -67,7 +67,7 @@ class PooledStats:
     std: np.ndarray
 
     def concat(self) -> np.ndarray:
-        return np.concatenate([self.mean, self.std])
+        return np.concatenate([self.mean, self.std], axis=-1)
 
 
 def _block_forward(x: np.ndarray, layer, norm: BatchNorm):
@@ -105,15 +105,26 @@ def attention_weights(scores: np.ndarray) -> np.ndarray:
 
 def _check_weights(h: np.ndarray, weights: np.ndarray) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (h.shape[0],):
+    if weights.ndim not in (1, 2) or weights.shape[-1] != h.shape[0]:
         raise DegenerateWeightsError(
             f"got {weights.shape[0] if weights.ndim == 1 else weights.shape} weights "
             f"for {h.shape[0]} frames")
     if np.any(weights < 0):
         raise DegenerateWeightsError("frame weights must be non-negative")
-    if abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
-        raise DegenerateWeightsError(f"frame weights sum to {weights.sum()!r}, not 1")
+    sums = weights.sum(axis=-1)
+    off = np.abs(sums - 1.0)
+    if np.any(off > _WEIGHT_SUM_TOL):
+        raise DegenerateWeightsError(
+            f"frame weights sum to {sums.flat[np.argmax(off)]!r}, not 1")
     return weights
+
+
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a vector a, or for each row of a matrix a through one
+    matrix-vector product per row. BLAS rounds the rows of a matrix product
+    differently from a lone row's, so this keeps stacked rows equal to
+    one-row calls bit for bit."""
+    return a @ b if a.ndim == 1 else np.matmul(a[:, None, :], b)[:, 0]
 
 
 def pool_weighted_stats(h: np.ndarray, weights: np.ndarray,
@@ -122,12 +133,14 @@ def pool_weighted_stats(h: np.ndarray, weights: np.ndarray,
 
     std_j = sqrt(sum_t w_t h_tj^2 - mean_j^2); tiny negative radicands from
     rounding are clamped to zero, anything worse is an internal error.
+    weights is one (L,) vector, or a (k, L) matrix of k weight rows pooled
+    from one h*h, which gives (k, D) statistics equal to k one-row calls.
     cache, when given, receives the radicand for the backward pass.
     """
     h = np.asarray(h, dtype=np.float64)
     weights = _check_weights(h, weights)
-    mean = weights @ h
-    second = weights @ (h * h)
+    mean = _row_products(weights, h)
+    second = _row_products(weights, h * h)
     radicand = second - mean * mean
     worst = radicand.min() if radicand.size else 0.0
     if worst < -_NEG_RADICAND_TOL:

@@ -41,7 +41,7 @@ from .backend import (PldaModel, Preprocessor, apply_preprocess,
                       fit_preprocessor, plda_score_matrix, train_plda)
 from .config import PipelineConfig, save_config
 from .embednet import (EmbedNetConfig, combine_weights, embed_hidden,
-                       hidden_attention_weights, load_embed_net,
+                       fold_tdnn, hidden_attention_weights, load_embed_net,
                        save_embed_net, tdnn_forward, train_embed_network)
 from .errors import DegenerateWeightsError, FormatError, StageDependencyError
 from .features import soft_vad_posteriors
@@ -314,6 +314,7 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
     rows = _rows(out)
     nets = {kind: load_embed_net(_stage_dir(out, "train-embed") / f"{kind}.emb1")
             for kind in _nets_needed(cfg.systems)}
+    folded = {kind: fold_tdnn(net) for kind, net in nets.items()}
     gmm = tvm = None
     if _ivector_needed(cfg.systems):
         gmm = DiagGmm.load(_stage_dir(out, "train-ubm") / "ubm.gmm1")
@@ -338,8 +339,10 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
 
         # The per-utterance work every variant shares, done once: one TDNN
         # pass per net, one UBM posterior pass, one read of the exported
-        # weights. The variants below only pool or accumulate from these.
-        hidden = {kind: tdnn_forward(frames, net) for kind, net in nets.items()}
+        # weights. The variants below only build their weights from these;
+        # each net then pools all its variants at once, and the i-vector
+        # variants share one posterior solve.
+        hidden = {kind: tdnn_forward(frames, net) for kind, net in folded.items()}
         alpha = exported = None
         if export_weights:
             alpha = hidden_attention_weights(hidden["att"], nets["att"])
@@ -350,8 +353,11 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
             exported = fileio.read_frame_weights(path)
         post = gmm_posteriors(frames, gmm) if gmm is not None else None
 
+        pooled = {kind: ([], []) for kind in nets}  # variant names, weight rows
+        ivector_names, ivector_stats = [], []
         for system, vad in variants:
             spec = SYSTEMS[system]
+            name = variant_name(system, vad)
             if spec.kind == "embed":
                 net = nets[spec.net]
                 left, right = net.left_context, net.right_context
@@ -362,8 +368,9 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
                     base = alpha
                 else:
                     base = exported
-                w = _vad_weights(base, q[left:n - right], utt) if vad else base
-                vec = embed_hidden(hidden[spec.net], net, w)
+                names, weights = pooled[spec.net]
+                names.append(name)
+                weights.append(_vad_weights(base, q[left:n - right], utt) if vad else base)
             else:
                 if spec.weights == "external":
                     src_net = nets["att"]
@@ -374,10 +381,17 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
                     # None, not 1/n each: n * (1/n) can round away from 1,
                     # and S5 keeps the statistics the TVM was trained on
                     w = _vad_weights(np.full(n, 1.0 / n), q, utt) if vad else None
-                vec = extract_ivector(weighted_stats(frames, post, gmm, w), tvm)
-            ids, vecs = collected[variant_name(system, vad)][part]
-            ids.append(utt)
-            vecs.append(vec)
+                ivector_names.append(name)
+                ivector_stats.append(weighted_stats(frames, post, gmm, w))
+
+        results = [(ivector_names, extract_ivector(ivector_stats, tvm))] if ivector_stats else []
+        results += [(names, embed_hidden(hidden[kind], nets[kind], np.array(weights)))
+                    for kind, (names, weights) in pooled.items() if names]
+        for names, vecs in results:
+            for name, vec in zip(names, vecs):
+                ids, kept = collected[name][part]
+                ids.append(utt)
+                kept.append(vec)
 
     for variant, by_part in collected.items():
         vdir = d / variant
@@ -594,8 +608,11 @@ def run_pipeline(cfg: PipelineConfig, stages=None, echo=None) -> Report | None:
     runs only if every upstream stamp matches its current fingerprint, and
     raises StageDependencyError naming the missing or stale ones otherwise.
     Returns the report read back from the run directory when the report
-    stage was selected, else None.
+    stage was selected, else None. The config is validated first, so a
+    field changed after it was built is refused before anything is written.
     """
+    cfg.__post_init__()
+    cfg.synth.__post_init__()
     if stages is None:
         selected = PIPELINE
     else:

@@ -106,12 +106,19 @@ def _posteriors(counts: np.ndarray, first: np.ndarray, tvm: TotalVariabilityMode
     return chol, b, (cov @ b[:, :, None])[:, :, 0], cov
 
 
-def extract_ivector(stats: SufficientStats, tvm: TotalVariabilityModel) -> np.ndarray:
-    """Posterior mean of the total-variability factor for one utterance."""
-    if stats.first.size != tvm.sigma.size:
+def extract_ivector(stats: SufficientStats | list[SufficientStats],
+                    tvm: TotalVariabilityModel) -> np.ndarray:
+    """Posterior mean of the total-variability factor for one utterance's
+    statistics; a list of k statistics gives the (k, R) means of one stacked
+    posterior solve."""
+    group = [stats] if isinstance(stats, SufficientStats) else stats
+    bad = [s.first.size for s in group if s.first.size != tvm.sigma.size]
+    if bad:
         raise NumericsError(
-            f"stats dim {stats.first.size} does not match model dim {tvm.sigma.size}")
-    return _posteriors(stats.n[None, :], stats.first.reshape(1, -1), tvm)[2][0]
+            f"stats dim {bad[0]} does not match model dim {tvm.sigma.size}")
+    phi = _posteriors(np.array([s.n for s in group]),
+                      np.array([s.first.ravel() for s in group]), tvm)[2]
+    return phi[0] if isinstance(stats, SufficientStats) else phi
 
 
 def train_tvm(stats_list, gmm: DiagGmm, rank: int, n_iters: int = 10,

@@ -13,7 +13,8 @@ from deskspeaker.embednet import train as train_module
 from deskspeaker.embednet import (DEFAULT_TDNN_OFFSETS, EmbedNetConfig,
                                   attention_scores, attention_weights,
                                   chunk_loss, chunk_loss_and_grads,
-                                  export_attention_weights, extract_embedding,
+                                  embed_hidden, export_attention_weights,
+                                  extract_embedding, fold_tdnn,
                                   forward_logits, init_embed_net, kink_margin,
                                   load_embed_net, pool_weighted_stats,
                                   save_embed_net, tdnn_forward,
@@ -104,6 +105,35 @@ class TestTdnnForward:
         with pytest.raises(FormatError):
             tdnn_forward(rng.standard_normal((10, 5)), params)
 
+    @pytest.mark.parametrize("attentive", [True, False])
+    def test_folded_forward_matches_training_forward(self, attentive):
+        # non-identity running statistics, gammas and nonzero betas and
+        # biases in every layer, at the default offsets
+        rng = np.random.default_rng(48)
+        params = init_embed_net(EmbedNetConfig(
+            input_dim=6, n_speakers=3, hidden_dim=16, pool_dim=24, embed_dim=5,
+            attention_dim=4, attentive=attentive), rng)
+        for layer in params.tdnn:
+            norm = layer.norm
+            norm.running_mean = rng.standard_normal(norm.running_mean.shape)
+            norm.running_var = rng.random(norm.running_var.shape) + 0.2
+            norm.gamma = rng.uniform(0.5, 1.5, norm.gamma.shape)
+            norm.beta = rng.standard_normal(norm.beta.shape)
+            layer.linear.bias = rng.standard_normal(layer.linear.bias.shape)
+        x = rng.standard_normal((60, 6))
+        want = network._forward_frames(params, x)
+        folded = fold_tdnn(params)
+        assert fold_tdnn(folded) is folded
+        for got in (tdnn_forward(x, params), tdnn_forward(x, folded)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+        # the same checks as the training forward
+        with pytest.raises(FormatError):
+            tdnn_forward(x[:, :5], folded)
+        with pytest.raises(TooShortUtteranceError, match=r"\b14 frames"):
+            tdnn_forward(x[:14], folded)
+
 
 class TestEmbeddingRoutes:
     def test_uniform_embedding_matches_oracle(self):
@@ -136,6 +166,34 @@ class TestEmbeddingRoutes:
         np.testing.assert_allclose(
             alpha, attention_weights(attention_scores(h, params.attention)),
             atol=1e-14)
+
+    def test_stacked_weights_equal_one_row_calls(self):
+        rng = np.random.default_rng(49)
+        params = _toy_params(rng)
+        h = tdnn_forward(rng.standard_normal((14, 3)), params)
+        rows = np.array([rng.dirichlet(np.ones(h.shape[0])) for _ in range(3)])
+        stacked = embed_hidden(h, params, rows)
+        assert stacked.shape == (3, params.seg1.weight.shape[0])
+        for row, got in zip(rows, stacked):
+            np.testing.assert_array_equal(got, embed_hidden(h, params, row))
+
+    def test_embedding_runs_no_layer_after_the_first_segment_layer(self):
+        # seg2 and the output layer feed only the training loss
+        rng = np.random.default_rng(50)
+        params = _toy_params(rng)
+        x = rng.standard_normal((14, 3))
+        want = extract_embedding(x, params, "internal")
+        params.seg2.weight[:] = np.nan
+        params.out.weight[:] = np.nan
+        np.testing.assert_array_equal(extract_embedding(x, params, "internal"), want)
+        # NaN weights only reach logits that are thrown away; without the
+        # layers at all, a pass through them would fail
+        cut = dataclasses.replace(params, seg2=None, norm2=None, out=None)
+        h = tdnn_forward(x, cut)
+        for weights in ("uniform", "internal", np.full(h.shape[0], 1.0 / h.shape[0])):
+            emb = embed_hidden(h, cut, weights)
+            assert emb.shape == (4,) and np.isfinite(emb).all()
+        np.testing.assert_array_equal(embed_hidden(h, cut, "internal"), want)
 
     def test_plain_network_has_no_weights_to_export(self):
         rng = np.random.default_rng(48)
@@ -237,13 +295,15 @@ class TestGradients:
 
     @pytest.mark.parametrize("mode", ["internal", "uniform"])
     def test_training_forward_equals_inference_forward(self, mode):
-        # one pooling forward serves training, the kink check and extraction
+        # one pooling forward serves training, the kink check and extraction;
+        # inference reads the TDNN stack folded, equal to rounding
         rng = np.random.default_rng(59)
         params = _toy_params(rng)
         x = rng.standard_normal((11, 3))
         loss, _, _ = chunk_loss_and_grads(params, x, 2, mode)
         want, _ = network.softmax_cross_entropy(forward_logits(x, params, mode), 2)
-        assert loss == want == chunk_loss(params, x, 2, mode)
+        assert loss == chunk_loss(params, x, 2, mode)
+        assert want == pytest.approx(loss, rel=1e-10, abs=0)
         _, radicand = kink_margin(params, x, mode)
         h = tdnn_forward(x, params)
         alpha = (export_attention_weights(x, params) if mode == "internal"

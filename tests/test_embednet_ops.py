@@ -7,7 +7,7 @@ from deskspeaker.embednet import (AttentionParams, BatchNorm,
                                   attention_scores, attention_weights,
                                   combine_weights, pool_stats,
                                   pool_weighted_stats)
-from deskspeaker.errors import DegenerateWeightsError
+from deskspeaker.errors import DegenerateWeightsError, NumericsError
 
 
 def _random_simplex(rng, n):
@@ -145,6 +145,43 @@ class TestPooledStats:
             pool_weighted_stats(h, np.full(4, 0.3))  # sums to 1.2
         with pytest.raises(DegenerateWeightsError):
             pool_weighted_stats(h, np.full(3, 1.0 / 3.0))  # length mismatch
+
+    def test_stacked_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(29)
+        h = rng.standard_normal((37, 5)) * 3.0
+        rows = np.array([_random_simplex(rng, 37) for _ in range(4)])
+        rows[2] = np.full(37, 1.0 / 37)
+        cache = {}
+        stats = pool_weighted_stats(h, rows, cache)
+        assert stats.mean.shape == stats.std.shape == cache["radicand"].shape == (4, 5)
+        assert stats.concat().shape == (4, 10)
+        for i, row in enumerate(rows):
+            one_cache = {}
+            one = pool_weighted_stats(h, row, one_cache)
+            np.testing.assert_array_equal(stats.mean[i], one.mean)
+            np.testing.assert_array_equal(stats.std[i], one.std)
+            np.testing.assert_array_equal(cache["radicand"][i], one_cache["radicand"])
+            np.testing.assert_array_equal(stats.concat()[i], one.concat())
+
+    def test_stacked_rows_are_each_checked(self):
+        h = np.ones((4, 2))
+        good = np.full(4, 0.25)
+        for bad, message in ((np.array([0.5, 0.5, 0.25, -0.25]), "non-negative"),
+                             (np.full(4, 0.3), r"sum to \S*1\.2")):
+            with pytest.raises(DegenerateWeightsError, match=message):
+                pool_weighted_stats(h, np.array([good, bad, good]))
+        for wrong in (np.full((2, 3), 1.0 / 3.0), np.full((2, 2, 4), 0.25)):
+            with pytest.raises(DegenerateWeightsError, match="for 4 frames"):
+                pool_weighted_stats(h, wrong)
+
+    def test_negative_radicand_raises(self):
+        # weights summing to 1 + 9e-7 pass the sum check, and a constant
+        # sequence of 1000s then has variance 1e6 * (s - s^2) < 0
+        h = np.full((4, 2), 1000.0)
+        w = np.full(4, (1.0 + 9e-7) / 4)
+        for weights in (w, np.array([np.full(4, 0.25), w])):
+            with pytest.raises(NumericsError, match="negative beyond rounding"):
+                pool_weighted_stats(h, weights)
 
 
 class TestCombineWeights:

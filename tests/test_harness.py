@@ -231,7 +231,10 @@ def test_extract_runs_each_shared_pass_once(tiny_run, tmp_path, monkeypatch):
     cfg2, clone = _clone(tiny_run, tmp_path)
     (clone / "vectors" / ".stamp.json").unlink()
     forwards, posteriors = Counter(), Counter()
+    pools, scores, solves = Counter(), Counter(), Counter()
     tdnn_forward, gmm_posteriors = harness.tdnn_forward, harness.gmm_posteriors
+    pool_weighted_stats = network.pool_weighted_stats
+    attention_scores, posterior_solve = network.attention_scores, ivector._posteriors
 
     def counted_forward(frames, params):
         forwards[(np.asarray(frames).tobytes(), id(params))] += 1
@@ -241,12 +244,27 @@ def test_extract_runs_each_shared_pass_once(tiny_run, tmp_path, monkeypatch):
         posteriors[np.asarray(frames).tobytes()] += 1
         return gmm_posteriors(frames, gmm)
 
+    def counted_pool(h, weights, cache=None):
+        pools[h.tobytes()] += 1
+        return pool_weighted_stats(h, weights, cache)
+
+    def counted_scores(h, params, cache=None):
+        scores[h.tobytes()] += 1
+        return attention_scores(h, params, cache)
+
+    def counted_solve(counts, first, tvm):
+        solves[len(counts)] += 1
+        return posterior_solve(counts, first, tvm)
+
     # also where the per-utterance functions look their passes up, so a
     # pass run through extract_embedding or accumulate_stats counts too
     for module in (harness, network):
         monkeypatch.setattr(module, "tdnn_forward", counted_forward)
     for module in (harness, ivector):
         monkeypatch.setattr(module, "gmm_posteriors", counted_posteriors)
+    monkeypatch.setattr(network, "pool_weighted_stats", counted_pool)
+    monkeypatch.setattr(network, "attention_scores", counted_scores)
+    monkeypatch.setattr(ivector, "_posteriors", counted_solve)
     lines = []
     run_pipeline(cfg2, stages=["extract"], echo=lines.append)
     assert "[extract]" in lines
@@ -255,6 +273,14 @@ def test_extract_runs_each_shared_pass_once(tiny_run, tmp_path, monkeypatch):
     assert set(forwards.values()) == {1}
     assert len(posteriors) == n_utts
     assert set(posteriors.values()) == {1}
+    # one pooling call per (utterance, net) for all of that net's variants,
+    # one attention head pass per utterance, and one posterior solve per
+    # utterance for its four i-vector variants (S5, S6 x soft VAD off, on)
+    assert len(pools) == 2 * n_utts
+    assert set(pools.values()) == {1}
+    assert len(scores) == n_utts
+    assert set(scores.values()) == {1}
+    assert solves == {4: n_utts}
     for path in (out / "vectors").rglob("*.afs"):
         assert (clone / path.relative_to(out)).read_bytes() == path.read_bytes()
 
@@ -600,6 +626,21 @@ def test_cli_refuses_an_empty_enroll_partition(tmp_path, capsys):
     assert err.startswith("deskspeaker: ")
     assert "enroll_utts_per_speaker" in err and "empty" in err
     assert not (tmp_path / "run" / "corpus" / ".stamp.json").exists()
+
+
+def test_run_pipeline_validates_a_config_changed_after_it_was_built(tmp_path):
+    cfg = _tiny_config(tmp_path / "run")
+    cfg.synth.enroll_utts_per_speaker = 0
+    with pytest.raises(ValueError, match="enroll_utts_per_speaker"):
+        run_pipeline(cfg)
+    # refused before config.yaml is written or any stage stamps its output
+    assert not (tmp_path / "run" / "config.yaml").exists()
+    assert not (tmp_path / "run" / "corpus" / ".stamp.json").exists()
+    cfg = _tiny_config(tmp_path / "run")
+    cfg.soft_vad = "sometimes"
+    with pytest.raises(ValueError, match="soft_vad"):
+        run_pipeline(cfg)
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("model", ["ubm", "tvm"])

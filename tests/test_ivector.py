@@ -186,6 +186,23 @@ class TestExtraction:
         with pytest.raises(NumericsError):
             extract_ivector(SufficientStats(np.zeros(3), np.zeros((3, 3))), tvm)
 
+    def test_stacked_statistics_match_one_by_one(self):
+        # one utterance's variants: unweighted and three weightings
+        rng = np.random.default_rng(90)
+        gmm = _random_gmm(rng, 3, 2)
+        tvm = _random_tvm(rng, gmm, 4)
+        frames = rng.standard_normal((15, 2)) * 1.5
+        group = [accumulate_stats(frames, gmm)]
+        group += [accumulate_stats(frames, gmm, rng.dirichlet(np.ones(15)))
+                  for _ in range(3)]
+        phi = extract_ivector(group, tvm)
+        assert phi.shape == (4, 4)
+        for stats, row in zip(group, phi):
+            np.testing.assert_allclose(row, extract_ivector(stats, tvm),
+                                       rtol=1e-12, atol=1e-14)
+        with pytest.raises(NumericsError, match="stats dim 9"):
+            extract_ivector([group[0], SufficientStats(np.zeros(3), np.zeros((3, 3)))], tvm)
+
 
 class TestTvmTraining:
     def _corpus_stats(self, rng, gmm, n_utts=40, frames_per=30):
