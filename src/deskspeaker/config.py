@@ -100,7 +100,14 @@ def default_config(**overrides) -> PipelineConfig:
         if not hasattr(cfg, key):
             raise ValueError(f"unknown config field {key!r}")
         setattr(cfg, key, val)
+    return validate(cfg)
+
+
+def validate(cfg: PipelineConfig) -> PipelineConfig:
+    """Run the field checks of cfg and of its synth slice; returns cfg.
+    ValueError names the first bad field."""
     cfg.__post_init__()
+    cfg.synth.__post_init__()
     return cfg
 
 
@@ -129,9 +136,7 @@ def load_config(path) -> PipelineConfig:
         raise ValueError(f"{path}: config must be a key-value tree")
     cfg = PipelineConfig()
     _merge(cfg, tree, "")
-    cfg.__post_init__()
-    cfg.synth.__post_init__()
-    return cfg
+    return validate(cfg)
 
 
 def _plain(value):

@@ -5,9 +5,10 @@ during the differentiated computation (the buffers are updated between steps,
 never inside them), so the analytic gradients are exact for the loss actually
 evaluated and can be checked against central finite differences.
 
-Inference runs the TDNN stack folded (fold_tdnn): each norm is an affine map
+Extraction runs the TDNN stack folded (fold_tdnn): each norm is an affine map
 with fixed constants, so it moves into the next layer's weights and bias, and
-the result equals the training forward's to rounding.
+the result equals the training forward's to rounding. forward_logits keeps
+the training forward, so its logits equal the loss's exactly.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ class FoldedTdnn:
 
     layers holds (offsets, taps, bias) per layer, with one (in, out) tap per
     offset; every norm but the last is folded into the layer after it, and
-    the last one is h = scale * r + shift. It copies what it uses, so
-    training the source net afterwards leaves it stale: fold again.
+    the last one is h = scale * r + shift. It copies every array it holds,
+    so training the source net afterwards leaves it stale: fold again.
     """
 
     input_dim: int
@@ -161,26 +162,24 @@ def _forward_frames(params: EmbedNetParams, x: np.ndarray, cache: list | None = 
     return y
 
 
-def fold_tdnn(params: EmbedNetParams | FoldedTdnn) -> FoldedTdnn:
+def fold_tdnn(params: EmbedNetParams) -> FoldedTdnn:
     """Fold every norm of the TDNN stack into the layer after it.
 
     A norm outputs y = a * r + c, with a = gamma / sqrt(var + eps) and
     c = beta - mean * a. The next layer reads y through its spliced weight
     W and bias b, so it may read r instead through W * tile(a) and
-    b + W @ tile(c). A FoldedTdnn passes through unchanged.
+    b + W @ tile(c).
     """
-    if isinstance(params, FoldedTdnn):
-        return params
     layers = []
     scale = shift = None
     for layer in params.tdnn:
-        weight, bias = layer.linear.weight, layer.linear.bias
+        weight, bias = layer.linear.weight, layer.linear.bias.copy()
         n_taps = len(layer.offsets)
         if scale is not None:
-            bias = bias + weight @ np.tile(shift, n_taps)
+            bias += weight @ np.tile(shift, n_taps)
             weight = weight * np.tile(scale, n_taps)
         width = weight.shape[1] // n_taps
-        taps = tuple(np.ascontiguousarray(weight[:, j * width:(j + 1) * width].T)
+        taps = tuple(np.array(weight[:, j * width:(j + 1) * width].T, order="C")
                      for j in range(n_taps))
         layers.append((layer.offsets, taps, bias))
         scale = layer.norm.gamma * layer.norm.scale()
@@ -252,7 +251,8 @@ def tdnn_forward(frames, params: EmbedNetParams | FoldedTdnn) -> np.ndarray:
     params: an EmbedNetParams, folded on each call, or a FoldedTdnn from
     fold_tdnn, to fold a net once for many utterances.
     """
-    return _folded_forward(fold_tdnn(params), np.asarray(frames, dtype=np.float64))
+    net = params if isinstance(params, FoldedTdnn) else fold_tdnn(params)
+    return _folded_forward(net, np.asarray(frames, dtype=np.float64))
 
 
 def hidden_attention_weights(h: np.ndarray, params: EmbedNetParams) -> np.ndarray:
@@ -285,10 +285,13 @@ def export_attention_weights(frames, params: EmbedNetParams) -> np.ndarray:
 
 
 def forward_logits(frames, params: EmbedNetParams, weights=None) -> np.ndarray:
-    """Inference-mode logits; defaults to the network's natural pooling."""
+    """Inference-mode logits of the training forward (TDNN stack unfolded),
+    so they equal the loss's logits exactly; defaults to the network's
+    natural pooling."""
     if weights is None:
         weights = "internal" if params.attention is not None else "uniform"
-    return _pool_forward(params, tdnn_forward(frames, params), weights)[1]
+    h = _forward_frames(params, np.asarray(frames, dtype=np.float64))
+    return _pool_forward(params, h, weights)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 from . import fileio
 from .backend import (PldaModel, Preprocessor, apply_preprocess,
                       fit_preprocessor, plda_score_matrix, train_plda)
-from .config import PipelineConfig, save_config
+from .config import PipelineConfig, save_config, validate
 from .embednet import (EmbedNetConfig, combine_weights, embed_hidden,
                        fold_tdnn, hidden_attention_weights, load_embed_net,
                        save_embed_net, tdnn_forward, train_embed_network)
@@ -611,8 +611,7 @@ def run_pipeline(cfg: PipelineConfig, stages=None, echo=None) -> Report | None:
     stage was selected, else None. The config is validated first, so a
     field changed after it was built is refused before anything is written.
     """
-    cfg.__post_init__()
-    cfg.synth.__post_init__()
+    validate(cfg)
     if stages is None:
         selected = PIPELINE
     else:
