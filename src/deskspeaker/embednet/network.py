@@ -5,10 +5,10 @@ during the differentiated computation (the buffers are updated between steps,
 never inside them), so the analytic gradients are exact for the loss actually
 evaluated and can be checked against central finite differences.
 
-Extraction runs the TDNN stack folded (fold_tdnn): each norm is an affine map
-with fixed constants, so it moves into the next layer's weights and bias, and
-the result equals the training forward's to rounding. forward_logits keeps
-the training forward, so its logits equal the loss's exactly.
+The TDNN stack runs folded (fold_tdnn), in training and extraction alike:
+each norm is an affine map with fixed constants, so it moves into the next
+layer's weights and bias. Training folds once per SGD step; the backward
+still returns the gradients of the unfolded parameters.
 """
 
 from __future__ import annotations
@@ -86,20 +86,21 @@ class EmbedNetParams:
 
 @dataclass(frozen=True)
 class FoldedTdnn:
-    """The TDNN stack of a net, folded for inference by fold_tdnn.
+    """The TDNN stack of a net, folded by fold_tdnn.
 
     layers holds (offsets, taps, bias) per layer, with one (in, out) tap per
-    offset; every norm but the last is folded into the layer after it, and
-    the last one is h = scale * r + shift. It copies every array it holds,
-    so training the source net afterwards leaves it stale: fold again.
+    offset. norms holds (inv, scale, shift) per layer: its norm outputs
+    y = scale * r + shift, with inv = 1 / sqrt(running_var + eps). Every norm
+    but the last is folded into the layer after it, and the last one is
+    applied to the stack's output. It copies every array it holds, so
+    training the source net afterwards leaves it stale: fold again.
     """
 
     input_dim: int
     left_context: int
     right_context: int
     layers: tuple
-    scale: np.ndarray
-    shift: np.ndarray
+    norms: tuple
 
 
 def init_embed_net(cfg: EmbedNetConfig, rng: np.random.Generator,
@@ -149,19 +150,6 @@ def _check_context(params: EmbedNetParams | FoldedTdnn, n_frames: int, utt_id=No
             f"{name}{n_frames} frames cannot cover the network's context of {needed} frames")
 
 
-def _forward_frames(params: EmbedNetParams, x: np.ndarray, cache: list | None = None):
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise FormatError(f"expected (L, {params.input_dim}) input, got {x.shape}")
-    _check_context(params, x.shape[0])
-    y = x
-    for layer in params.tdnn:
-        spliced = _splice(y, layer.offsets)
-        z, r, y = _block_forward(spliced, layer.linear, layer.norm)
-        if cache is not None:
-            cache.append({"spliced": spliced, "z": z, "r": r})
-    return y
-
-
 def fold_tdnn(params: EmbedNetParams) -> FoldedTdnn:
     """Fold every norm of the TDNN stack into the layer after it.
 
@@ -170,27 +158,33 @@ def fold_tdnn(params: EmbedNetParams) -> FoldedTdnn:
     W and bias b, so it may read r instead through W * tile(a) and
     b + W @ tile(c).
     """
-    layers = []
-    scale = shift = None
+    layers, norms = [], []
     for layer in params.tdnn:
         weight, bias = layer.linear.weight, layer.linear.bias.copy()
         n_taps = len(layer.offsets)
-        if scale is not None:
+        if norms:
+            _, scale, shift = norms[-1]
             bias += weight @ np.tile(shift, n_taps)
             weight = weight * np.tile(scale, n_taps)
         width = weight.shape[1] // n_taps
         taps = tuple(np.array(weight[:, j * width:(j + 1) * width].T, order="C")
                      for j in range(n_taps))
         layers.append((layer.offsets, taps, bias))
-        scale = layer.norm.gamma * layer.norm.scale()
-        shift = layer.norm.beta - layer.norm.running_mean * scale
+        inv = layer.norm.scale()
+        scale = layer.norm.gamma * inv
+        norms.append((inv, scale, layer.norm.beta - layer.norm.running_mean * scale))
     return FoldedTdnn(params.input_dim, params.left_context, params.right_context,
-                      tuple(layers), scale, shift)
+                      tuple(layers), tuple(norms))
 
 
-def _folded_forward(net: FoldedTdnn, x: np.ndarray) -> np.ndarray:
+def _folded_forward(net: FoldedTdnn, x: np.ndarray, post: list | None = None,
+                    pre: list | None = None) -> np.ndarray:
     """The TDNN stack through its folded layers: per layer one GEMM per
-    offset into one sum, the bias and an in-place ReLU; the last norm once."""
+    offset into one sum, the bias and the ReLU; the last norm once.
+
+    post and pre, when given, receive each layer's post-ReLU and pre-ReLU
+    arrays; without them the ReLU and the last norm run in place.
+    """
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise FormatError(f"expected (L, {net.input_dim}) input, got {x.shape}")
     _check_context(net, x.shape[0])
@@ -202,10 +196,15 @@ def _folded_forward(net: FoldedTdnn, x: np.ndarray) -> np.ndarray:
             start = o - offsets[0]
             z += r[start:start + n_out] @ tap
         z += bias
-        r = np.maximum(z, 0.0, out=z)
-    r *= net.scale
-    r += net.shift
-    return r
+        if pre is not None:
+            pre.append(z)
+        r = np.maximum(z, 0.0, out=None if pre is not None else z)
+        if post is not None:
+            post.append(r)
+    _, scale, shift = net.norms[-1]
+    h = np.multiply(r, scale, out=None if post is not None else r)
+    h += shift
+    return h
 
 
 def _attend(h: np.ndarray, params: EmbedNetParams, cache: dict | None = None):
@@ -285,13 +284,11 @@ def export_attention_weights(frames, params: EmbedNetParams) -> np.ndarray:
 
 
 def forward_logits(frames, params: EmbedNetParams, weights=None) -> np.ndarray:
-    """Inference-mode logits of the training forward (TDNN stack unfolded),
-    so they equal the loss's logits exactly; defaults to the network's
-    natural pooling."""
+    """Inference-mode logits, through the training forward, so they equal the
+    loss's logits exactly; defaults to the network's natural pooling."""
     if weights is None:
         weights = "internal" if params.attention is not None else "uniform"
-    h = _forward_frames(params, np.asarray(frames, dtype=np.float64))
-    return _pool_forward(params, h, weights)[1]
+    return _pool_forward(params, tdnn_forward(frames, params), weights)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +335,7 @@ def softmax_cross_entropy(logits: np.ndarray, label: int):
 
 def chunk_loss(params: EmbedNetParams, x: np.ndarray, label: int, mode: str) -> float:
     """Training-objective forward only (used by finite-difference checks)."""
-    _, logits = _pool_forward(params, _forward_frames(params, x), mode)
+    _, logits = _pool_forward(params, tdnn_forward(x, params), mode)
     return softmax_cross_entropy(logits, label)[0]
 
 
@@ -354,17 +351,20 @@ def relu_sites(params: EmbedNetParams):
     yield "norm2", params.seg2, params.norm2
 
 
-def relu_inputs(params: EmbedNetParams, x: np.ndarray, mode: str):
+def relu_inputs(params: EmbedNetParams, x: np.ndarray, mode: str,
+                net: FoldedTdnn | None = None):
     """Pre-activations of every ReLU in the training forward pass.
 
-    Returns (inputs, radicand): inputs maps each site of relu_sites to the
+    net: the fold of params to run (default: fold_tdnn(params)). Returns
+    (inputs, radicand): inputs maps each site of relu_sites to the
     (rows, units) array its ReLU received; radicand is the pooled variance
     before the sqrt.
     """
-    frame_cache: list = []
+    pre: list = []
     cache: dict = {}
-    _pool_forward(params, _forward_frames(params, x, frame_cache), mode, cache)
-    inputs = {f"tdnn{i}": c["z"] for i, c in enumerate(frame_cache)}
+    h = _folded_forward(fold_tdnn(params) if net is None else net, x, pre=pre)
+    _pool_forward(params, h, mode, cache)
+    inputs = {f"tdnn{i}": z for i, z in enumerate(pre)}
     if "za" in cache:  # the attention head ran
         inputs["att"] = cache["za"]
     inputs["norm1"] = cache["emb"]
@@ -384,33 +384,44 @@ def kink_margin(params: EmbedNetParams, x: np.ndarray, mode: str):
     return min(float(np.abs(z).min()) for z in inputs.values()), float(radicand.min())
 
 
-def _block_backward(dy, x, z, r, layer, norm, grads: dict, acts: dict,
-                    layer_name: str, site: str) -> np.ndarray:
+def _block_backward(dy, x, r, layer, norm, grads: dict, acts: dict,
+                    layer_name: str, site: str, factors=None) -> np.ndarray:
     """Backward of one Linear -> ReLU -> norm block (see ops._block_forward)
-    over rows. dy is the loss gradient of the block's output; x, z and r are
-    its input, pre-ReLU and post-ReLU arrays. Stores the gradients of
-    `layer_name`.w/.b and `site`.gamma/.beta in grads and r as acts[site],
-    and returns the gradient of x."""
-    inv = norm.scale()
+    over rows. dy is the loss gradient of the block's output, overwritten;
+    x and r are the block's input and post-ReLU arrays (r > 0 exactly where
+    the ReLU's input is). factors: the norm's (inv, scale) from a fold,
+    inv = 1 / sqrt(var + eps) and scale = gamma * inv; computed from norm
+    when not given. Stores the gradients of `layer_name`.w/.b and
+    `site`.gamma/.beta in grads and r as acts[site], and returns the
+    gradient of the block's pre-ReLU input."""
+    if factors is None:
+        inv = norm.scale()
+        factors = inv, norm.gamma * inv
+    inv, scale = factors
     grads[f"{site}.gamma"] = (dy * (r - norm.running_mean) * inv).sum(axis=0)
     grads[f"{site}.beta"] = dy.sum(axis=0)
-    dz = dy * norm.gamma * inv * (z > 0)
+    dz = np.multiply(dy, scale, out=dy)
+    dz *= r > 0
     # np.dot, not @: on one-row blocks matmul takes a slow non-BLAS path
     grads[f"{layer_name}.w"] = np.dot(dz.T, x)
     grads[f"{layer_name}.b"] = dz.sum(axis=0)
     acts[site] = r
-    return dz @ layer.weight
+    return dz
 
 
-def chunk_loss_and_grads(params: EmbedNetParams, x: np.ndarray, label: int, mode: str):
+def chunk_loss_and_grads(params: EmbedNetParams, x: np.ndarray, label: int, mode: str,
+                         net: FoldedTdnn | None = None):
     """Forward + analytic backward for one chunk.
 
+    net: the fold of params to run (default: fold_tdnn(params)); a training
+    step folds once for all of its chunks.
     Returns (loss, grads, activations): grads keyed like _param_items;
     activations holds the pre-norm (post-ReLU) arrays each norm layer saw,
     for the running-statistics update done outside the gradient path.
     """
-    frame_cache: list = []
-    h = _forward_frames(params, x, frame_cache)
+    net = fold_tdnn(params) if net is None else net
+    post: list = []
+    h = _folded_forward(net, x, post)
     c: dict = {}
     _, logits = _pool_forward(params, h, mode, c)
     loss, dlogits = softmax_cross_entropy(logits, label)
@@ -419,10 +430,10 @@ def chunk_loss_and_grads(params: EmbedNetParams, x: np.ndarray, label: int, mode
     grads = {"out.w": np.outer(dlogits, c["y2"]), "out.b": dlogits}
     acts: dict = {}
     dy = dlogits[None, :] @ params.out.weight
-    dy = _block_backward(dy, c["y1"], c["z2"], c["r2"], params.seg2, params.norm2,
-                         grads, acts, "seg2", "norm2")
-    ds = _block_backward(dy, c["s"], c["emb"], c["r1"], params.seg1, params.norm1,
-                         grads, acts, "seg1", "norm1")[0]
+    dy = _block_backward(dy, c["y1"], c["r2"], params.seg2, params.norm2,
+                         grads, acts, "seg2", "norm2") @ params.seg2.weight
+    ds = (_block_backward(dy, c["s"], c["r1"], params.seg1, params.norm1,
+                          grads, acts, "seg1", "norm1") @ params.seg1.weight)[0]
 
     # pooling
     dim = h.shape[1]
@@ -440,19 +451,33 @@ def chunk_loss_and_grads(params: EmbedNetParams, x: np.ndarray, label: int, mode
         att = params.attention
         grads["att.v"] = c["ua"].T @ de
         grads["att.k"] = np.asarray(de.sum())
-        dh = dh + _block_backward(np.outer(de, att.v), h, c["za"], c["ra"], att,
-                                  att.norm, grads, acts, "att", "att")
+        dza = _block_backward(np.outer(de, att.v), h, c["ra"], att, att.norm,
+                              grads, acts, "att", "att")
+        dh = dh + dza @ att.weight
 
-    # TDNN stack
+    # TDNN stack. Layer i reads r of layer i - 1 through the folded weight
+    # W * tile(a) and bias b + W @ tile(c), so with dy the gradient of the
+    # unfolded norm output y = a * r + c, dL/dr = a * dy, and the unfolded
+    # weight's gradient is (dz' splice(r)) * tile(a) + outer(sum dz, tile(c)).
     dy = dh
     for i in reversed(range(len(params.tdnn))):
-        layer = params.tdnn[i]
-        fc = frame_cache[i]
-        dspliced = _block_backward(dy, fc["spliced"], fc["z"], fc["r"], layer.linear,
-                                   layer.norm, grads, acts, f"tdnn{i}", f"tdnn{i}")
-        offsets = layer.offsets
-        n_out, in_dim = dy.shape[0], dspliced.shape[1] // len(offsets)
-        dy = np.zeros((n_out + offsets[-1] - offsets[0], in_dim))
+        layer, offsets = params.tdnn[i], params.tdnn[i].offsets
+        x_in = x if i == 0 else post[i - 1]
+        spliced = x_in if len(offsets) == 1 else _splice(x_in, offsets)
+        dz = _block_backward(dy, spliced, post[i], layer.linear, layer.norm, grads, acts,
+                             f"tdnn{i}", f"tdnn{i}", net.norms[i][:2])
+        if i == 0:
+            break  # the input frames need no gradient
+        _, prev_scale, prev_shift = net.norms[i - 1]
+        dw = grads[f"tdnn{i}.w"].reshape(dz.shape[1], len(offsets), -1)  # (out, tap, in)
+        dw *= prev_scale
+        dw += np.outer(grads[f"tdnn{i}.b"], prev_shift)[:, None, :]
+        dspliced = dz @ layer.linear.weight
+        if len(offsets) == 1:
+            dy = dspliced
+            continue
+        n_out, in_dim = dz.shape[0], x_in.shape[1]
+        dy = np.zeros_like(x_in)
         for j, o in enumerate(offsets):
             shift = o - offsets[0]
             dy[shift:shift + n_out] += dspliced[:, j * in_dim:(j + 1) * in_dim]

@@ -109,7 +109,7 @@ def _check_weights(h: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise DegenerateWeightsError(
             f"got {weights.shape[0] if weights.ndim == 1 else weights.shape} weights "
             f"for {h.shape[0]} frames")
-    if np.any(weights < 0):
+    if not np.all(weights >= 0):  # NaN fails too
         raise DegenerateWeightsError("frame weights must be non-negative")
     sums = weights.sum(axis=-1)
     off = np.abs(sums - 1.0)

@@ -16,8 +16,8 @@ import numpy as np
 
 from ..errors import EmptyInputError, NumericsError
 from .network import (EmbedNetConfig, EmbedNetParams, _check_context,
-                      _param_items, chunk_loss_and_grads, init_embed_net,
-                      relu_inputs, relu_sites)
+                      _param_items, chunk_loss_and_grads, fold_tdnn,
+                      init_embed_net, relu_inputs, relu_sites)
 
 log = logging.getLogger(__name__)
 
@@ -29,15 +29,22 @@ def _sample_chunk(frames: np.ndarray, chunk_len: int, rng: np.random.Generator):
     return frames[offset:offset + chunk_len]
 
 
-def _update_norms(params: EmbedNetParams, collected: dict[str, list], momentum: float):
+def _add_moments(sums: dict, site: str, r: np.ndarray):
+    """Add the row count, column sums and column sums of squares of r to
+    sums[site]."""
+    moments = (r.shape[0], r.sum(axis=0), np.einsum("ij,ij->j", r, r))
+    sums[site] = [a + b for a, b in zip(sums[site], moments)] if site in sums else moments
+
+
+def _update_norms(params: EmbedNetParams, sums: dict, momentum: float):
+    """Move each site's running statistics toward the mean and variance of
+    the rows summed by _add_moments: mean = sum / n and
+    var = max(sum of squares / n - mean^2, 0)."""
     norms = {site: norm for site, _, norm in relu_sites(params)}
-    for name, chunks in collected.items():
-        if not chunks:
-            continue
-        stacked = np.vstack(chunks)
-        mean = stacked.mean(axis=0)
-        var = stacked.var(axis=0)
-        norm = norms[name]
+    for site, (n, total, squares) in sums.items():
+        mean = total / n
+        var = np.maximum(squares / n - mean * mean, 0.0)
+        norm = norms[site]
         norm.running_mean = (1.0 - momentum) * norm.running_mean + momentum * mean
         norm.running_var = (1.0 - momentum) * norm.running_var + momentum * var
 
@@ -90,11 +97,14 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig,
     warm_idx = rng.permutation(n_utts)[:min(n_utts, 4 * cfg.batch_size)]
     warm_chunks = [_sample_chunk(frames[i], cfg.chunk_len, rng) for i in warm_idx]
     for site, layer, _ in relu_sites(params):
-        z = np.vstack([relu_inputs(params, chunk, mode)[0][site]
-                       for chunk in warm_chunks])
-        low = z.min(axis=0)
+        net = fold_tdnn(params)
+        inputs = [relu_inputs(params, chunk, mode, net)[0][site] for chunk in warm_chunks]
+        low = np.min([z.min(axis=0) for z in inputs], axis=0)
         layer.bias -= low
-        _update_norms(params, {site: [z - low]}, momentum=1.0)
+        sums: dict = {}
+        for z in inputs:
+            _add_moments(sums, site, z - low)
+        _update_norms(params, sums, momentum=1.0)
 
     # Momentum SGD on each named parameter in place. A parameter outside the
     # active route (the attention head under uniform pooling) gets no
@@ -109,21 +119,25 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig,
         for start in range(0, n_utts, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             grad_sum = {name: np.zeros_like(arr) for name, arr in items}
-            collected = {}
+            sums = {}
+            net = fold_tdnn(params)  # after the last step's SGD and norm updates
             for i in batch:
                 chunk = _sample_chunk(frames[i], cfg.chunk_len, rng)
-                loss, grads, acts = chunk_loss_and_grads(params, chunk, labels[i], mode)
+                try:
+                    loss, grads, acts = chunk_loss_and_grads(params, chunk, labels[i], mode, net)
+                except NumericsError as exc:  # e.g. a pooled variance lost to overflow
+                    raise NumericsError(f"training diverged at epoch {epoch}: {exc}") from exc
                 epoch_loss += loss
                 for name, g in grads.items():
                     grad_sum[name] += g
-                for key, arr in acts.items():
-                    collected.setdefault(key, []).append(arr)
+                for site, r in acts.items():
+                    _add_moments(sums, site, r)
             for name, arr in items:
                 v = velocity[name]
                 v *= cfg.momentum
                 v += grad_sum[name] / len(batch)
                 arr -= lr * v
-            _update_norms(params, collected, cfg.bn_momentum)
+            _update_norms(params, sums, cfg.bn_momentum)
         history.append(epoch_loss / n_utts)
         if not np.isfinite(history[-1]):
             raise NumericsError(

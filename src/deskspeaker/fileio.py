@@ -133,7 +133,16 @@ def read_frame_weights(path) -> np.ndarray:
     data, _ = _read_frame_matrix(path, b"FWT1")
     if data.shape[1] != 1:
         raise FormatError(f"{path}: weight files are single-column")
-    w = data[:, 0]
+    return _renormalized(data[:, 0], path)
+
+
+def stored_frame_weights(w: np.ndarray) -> np.ndarray:
+    """The weights read_frame_weights returns from a file that
+    write_frame_weights made of w: rounded to float32, then renormalized."""
+    return _renormalized(np.asarray(w, dtype="<f4").astype(np.float64), "exported weights")
+
+
+def _renormalized(w: np.ndarray, path) -> np.ndarray:
     total = w.sum()
     if np.any(w < 0) or not np.isfinite(total) or total <= 0:
         raise FormatError(f"{path}: weights must be non-negative with positive mass")

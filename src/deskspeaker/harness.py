@@ -338,7 +338,7 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
         q = fileio.read_posteriors(qdir / f"{utt}.vps")
 
         # The per-utterance work every variant shares, done once: one TDNN
-        # pass per net, one UBM posterior pass, one read of the exported
+        # pass per net, one UBM posterior pass, one rounding of the exported
         # weights. The variants below only build their weights from these;
         # each net then pools all its variants at once, and the i-vector
         # variants share one posterior solve.
@@ -346,11 +346,10 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
         alpha = exported = None
         if export_weights:
             alpha = hidden_attention_weights(hidden["att"], nets["att"])
-            path = weights_dir / f"{utt}.fwt"
-            fileio.write_frame_weights(path, alpha)
+            fileio.write_frame_weights(weights_dir / f"{utt}.fwt", alpha)
             # S3 and S6 consume the weights as exported (float32, then
             # renormalized); S2 keeps its own float64 alpha.
-            exported = fileio.read_frame_weights(path)
+            exported = fileio.stored_frame_weights(alpha)
         post = gmm_posteriors(frames, gmm) if gmm is not None else None
 
         pooled = {kind: ([], []) for kind in nets}  # variant names, weight rows

@@ -61,6 +61,86 @@ def _tdnn_oracle(x, params):
     return y
 
 
+def _ref_block_backward(dy, x, z, r, layer, norm, grads, acts, layer_name, site):
+    """Backward of one Linear -> ReLU -> norm block: stores its gradients and
+    r, and returns the gradient of its input x."""
+    inv = norm.scale()
+    grads[f"{site}.gamma"] = (dy * (r - norm.running_mean) * inv).sum(axis=0)
+    grads[f"{site}.beta"] = dy.sum(axis=0)
+    dz = dy * norm.gamma * inv * (z > 0)
+    grads[f"{layer_name}.w"] = np.dot(dz.T, x)
+    grads[f"{layer_name}.b"] = dz.sum(axis=0)
+    acts[site] = r
+    return dz @ layer.weight
+
+
+def _unfolded_step(params, x, label, mode):
+    """One training step through the unfolded TDNN stack: per layer splice,
+    affine, ReLU and norm forward, and the gradient of every layer's input,
+    the frames included. The folded step is pinned to it."""
+    cache = []
+    y = x
+    for layer in params.tdnn:
+        spliced = network._splice(y, layer.offsets)
+        z = spliced @ layer.linear.weight.T + layer.linear.bias
+        r = np.maximum(z, 0.0)
+        y = layer.norm.apply(r)
+        cache.append((spliced, z, r))
+    h, c, grads, acts = y, {}, {}, {}
+    _, logits = network._pool_forward(params, h, mode, c)
+    loss, dlogits = network.softmax_cross_entropy(logits, label)
+    grads.update({"out.w": np.outer(dlogits, c["y2"]), "out.b": dlogits})
+    dy = dlogits[None, :] @ params.out.weight
+    dy = _ref_block_backward(dy, c["y1"], c["z2"], c["r2"], params.seg2,
+                             params.norm2, grads, acts, "seg2", "norm2")
+    ds = _ref_block_backward(dy, c["s"], c["emb"], c["r1"], params.seg1,
+                             params.norm1, grads, acts, "seg1", "norm1")[0]
+    dim = h.shape[1]
+    mean, sigma = c["s"][0, :dim], c["s"][0, dim:]
+    pos = c["radicand"] > 1e-12
+    dradicand = np.where(pos, ds[dim:] * 0.5 / np.where(pos, sigma, 1.0), 0.0)
+    dmean = ds[:dim] - 2.0 * mean * dradicand
+    alpha = c["alpha"]
+    dh = alpha[:, None] * (dmean[None, :] + 2.0 * h * dradicand[None, :])
+    if "ua" in c:
+        dalpha = h @ dmean + (h * h) @ dradicand
+        de = alpha * (dalpha - alpha @ dalpha)
+        att = params.attention
+        grads["att.v"] = c["ua"].T @ de
+        grads["att.k"] = np.asarray(de.sum())
+        dh = dh + _ref_block_backward(np.outer(de, att.v), h, c["za"], c["ra"],
+                                      att, att.norm, grads, acts, "att", "att")
+    dy = dh
+    for i in reversed(range(len(params.tdnn))):
+        layer = params.tdnn[i]
+        spliced, z, r = cache[i]
+        dspliced = _ref_block_backward(dy, spliced, z, r, layer.linear, layer.norm,
+                                       grads, acts, f"tdnn{i}", f"tdnn{i}")
+        offsets, n_out = layer.offsets, dy.shape[0]
+        in_dim = dspliced.shape[1] // len(offsets)
+        dy = np.zeros((n_out + offsets[-1] - offsets[0], in_dim))
+        for j, o in enumerate(offsets):
+            shift = o - offsets[0]
+            dy[shift:shift + n_out] += dspliced[:, j * in_dim:(j + 1) * in_dim]
+    return loss, grads, acts
+
+
+def _random_default_net(rng, attentive):
+    """A net at the default offsets with non-identity running statistics,
+    gammas and nonzero betas and biases in every layer."""
+    params = init_embed_net(EmbedNetConfig(
+        input_dim=6, n_speakers=3, hidden_dim=16, pool_dim=24, embed_dim=5,
+        attention_dim=4, attentive=attentive), rng)
+    for layer in params.tdnn:
+        norm = layer.norm
+        norm.running_mean = rng.standard_normal(norm.running_mean.shape)
+        norm.running_var = rng.random(norm.running_var.shape) + 0.2
+        norm.gamma = rng.uniform(0.5, 1.5, norm.gamma.shape)
+        norm.beta = rng.standard_normal(norm.beta.shape)
+        layer.linear.bias = rng.standard_normal(layer.linear.bias.shape)
+    return params
+
+
 class TestTdnnForward:
     def test_matches_per_frame_oracle(self):
         rng = np.random.default_rng(40)
@@ -107,21 +187,10 @@ class TestTdnnForward:
 
     @pytest.mark.parametrize("attentive", [True, False])
     def test_folded_forward_matches_training_forward(self, attentive):
-        # non-identity running statistics, gammas and nonzero betas and
-        # biases in every layer, at the default offsets
         rng = np.random.default_rng(48)
-        params = init_embed_net(EmbedNetConfig(
-            input_dim=6, n_speakers=3, hidden_dim=16, pool_dim=24, embed_dim=5,
-            attention_dim=4, attentive=attentive), rng)
-        for layer in params.tdnn:
-            norm = layer.norm
-            norm.running_mean = rng.standard_normal(norm.running_mean.shape)
-            norm.running_var = rng.random(norm.running_var.shape) + 0.2
-            norm.gamma = rng.uniform(0.5, 1.5, norm.gamma.shape)
-            norm.beta = rng.standard_normal(norm.beta.shape)
-            layer.linear.bias = rng.standard_normal(layer.linear.bias.shape)
+        params = _random_default_net(rng, attentive)
         x = rng.standard_normal((60, 6))
-        want = network._forward_frames(params, x)
+        want = _tdnn_oracle(x, params)
         folded = fold_tdnn(params)
         for got in (tdnn_forward(x, params), tdnn_forward(x, folded)):
             assert got.shape == want.shape
@@ -315,6 +384,38 @@ class TestGradients:
         stats = pool_weighted_stats(h, alpha)
         assert radicand == pytest.approx(float((stats.std ** 2).min()), abs=1e-12)
 
+    @pytest.mark.parametrize("attentive,mode", [(True, "internal"), (False, "uniform")])
+    def test_folded_step_matches_unfolded_reference(self, attentive, mode):
+        rng = np.random.default_rng(61)
+        params = _random_default_net(rng, attentive)
+        x = rng.standard_normal((40, 6))
+        # Every TDNN unit clips 30% of this chunk's frames: no unit is dead,
+        # which would leave a pooled variance of rounding noise under a sqrt
+        y = x
+        for layer in params.tdnn:
+            z = network._splice(y, layer.offsets) @ layer.linear.weight.T + layer.linear.bias
+            cut = np.quantile(z, 0.3, axis=0)
+            layer.linear.bias -= cut
+            y = layer.norm.apply(np.maximum(z - cut, 0.0))
+        if attentive:
+            params.attention.v[:] = rng.standard_normal(params.attention.v.shape) * 0.3
+        margin, radicand = kink_margin(params, x, mode)
+        assert margin > 1e-6 and radicand > 1e-3
+        loss, grads, acts = chunk_loss_and_grads(params, x, 1, mode)
+        want_loss, want, want_acts = _unfolded_step(params, x, 1, mode)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert set(grads) == set(want)
+        scale = max(np.abs(g).max() for g in want.values())
+        for name, g in want.items():
+            # att.k and att.beta are zero up to rounding (softmax shift
+            # invariance), so they compare against the step's gradient scale
+            bound = scale if name in ("att.k", "att.beta") else np.abs(g).max()
+            assert np.abs(grads[name] - g).max() <= 1e-12 * bound, name
+        assert set(acts) == set(want_acts)
+        for site, r in want_acts.items():
+            np.testing.assert_allclose(acts[site], r, rtol=0,
+                                       atol=1e-12 * np.abs(r).max(), err_msg=site)
+
     def test_loss_is_positive_and_finite(self):
         rng = np.random.default_rng(52)
         params = _toy_params(rng)
@@ -485,6 +586,60 @@ class TestTrainingDeterminism:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(forward_logits(utts[0], plain),
                                       forward_logits(utts[0], att))
+
+    def test_one_fold_per_sgd_step(self, monkeypatch):
+        utts, labels = self._tiny_corpus()  # 12 utterances: 3 batches of 4
+        cfg = EmbedNetConfig(input_dim=3, n_speakers=3, hidden_dim=4,
+                             pool_dim=5, embed_dim=4, attention_dim=3,
+                             tdnn_offsets=((-1, 0, 1), (0,)), epochs=2,
+                             chunk_len=12, batch_size=4, seed=7)
+        folds, step_nets = [], []
+        real_fold = train_module.fold_tdnn
+        real_step = train_module.chunk_loss_and_grads
+
+        def spy_fold(params):
+            folds.append(real_fold(params))
+            return folds[-1]
+
+        def spy_step(params, x, label, mode, net=None):
+            step_nets.append(net)
+            return real_step(params, x, label, mode, net)
+
+        def no_fold(params):  # a step or warm-start forward given a fold folds again
+            raise AssertionError("folded again")
+
+        monkeypatch.setattr(train_module, "fold_tdnn", spy_fold)
+        monkeypatch.setattr(train_module, "chunk_loss_and_grads", spy_step)
+        monkeypatch.setattr(network, "fold_tdnn", no_fold)
+        params = train_embed_network(utts, labels, cfg)
+        n_steps = cfg.epochs * 3
+        n_sites = len(list(network.relu_sites(params)))
+        assert n_steps < len(folds) <= n_steps + n_sites
+        # every chunk of a step runs the fold made for that step
+        assert len(step_nets) == cfg.epochs * len(utts)
+        assert all(step_nets[k] is step_nets[k - k % 4] for k in range(len(step_nets)))
+        assert len({id(net) for net in step_nets}) == n_steps
+        assert all(any(net is f for f in folds) for net in step_nets)
+
+    def test_running_statistics_from_sums_equal_two_pass(self):
+        rng = np.random.default_rng(63)
+        params = _toy_params(rng)
+        chunks = [np.maximum(rng.standard_normal((n, 4)) * 3.0 + 5.0, 0.0)
+                  for n in (30, 1, 17, 30)]
+        sums = {}
+        for r in chunks:
+            train_module._add_moments(sums, "tdnn0", r)
+        assert sums["tdnn0"][0] == 78
+        train_module._update_norms(params, sums, momentum=1.0)
+        stacked = np.vstack(chunks)
+        norm = params.tdnn[0].norm
+        np.testing.assert_allclose(norm.running_mean, stacked.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(norm.running_var, stacked.var(axis=0), rtol=1e-12)
+        # a momentum step moves the buffers by that share of the difference
+        before_mean, before_var = norm.running_mean.copy(), norm.running_var.copy()
+        train_module._update_norms(params, {"tdnn0": [1, np.zeros(4), np.zeros(4)]}, 0.25)
+        np.testing.assert_allclose(norm.running_mean, 0.75 * before_mean, rtol=1e-15)
+        np.testing.assert_allclose(norm.running_var, 0.75 * before_var, rtol=1e-15)
 
     def test_label_validation(self):
         utts, labels = self._tiny_corpus()

@@ -146,6 +146,12 @@ class TestPooledStats:
         with pytest.raises(DegenerateWeightsError):
             pool_weighted_stats(h, np.full(3, 1.0 / 3.0))  # length mismatch
 
+    def test_rejects_nan_weights(self):
+        # NaN < 0 is False, so a sign test alone would let NaN through
+        h = np.ones((3, 2))
+        with pytest.raises(DegenerateWeightsError, match="non-negative"):
+            pool_weighted_stats(h, np.array([np.nan, 0.5, 0.5]))
+
     def test_stacked_rows_equal_one_row_calls(self):
         rng = np.random.default_rng(29)
         h = rng.standard_normal((37, 5)) * 3.0
@@ -170,6 +176,9 @@ class TestPooledStats:
                              (np.full(4, 0.3), r"sum to \S*1\.2")):
             with pytest.raises(DegenerateWeightsError, match=message):
                 pool_weighted_stats(h, np.array([good, bad, good]))
+        nan_row = np.array([np.nan, 0.5, 0.25, 0.25])
+        with pytest.raises(DegenerateWeightsError, match="non-negative"):
+            pool_weighted_stats(h, np.array([good, nan_row, good]))
         for wrong in (np.full((2, 3), 1.0 / 3.0), np.full((2, 2, 4), 0.25)):
             with pytest.raises(DegenerateWeightsError, match="for 4 frames"):
                 pool_weighted_stats(h, wrong)

@@ -226,6 +226,19 @@ def test_extract_equals_per_variant_recomputation(tiny_run):
     assert checked == 3 * 2 * len(cfg.systems) * 2
 
 
+def test_exported_weights_in_memory_equal_the_file(tiny_run):
+    # extract hands S3 and S6 stored_frame_weights of S2's alpha instead of
+    # reading the file it just wrote; both must be the same bits
+    _, out, _ = tiny_run
+    att = load_embed_net(out / "embed" / "att.emb1")
+    for utt in _utt_ids(out):
+        frames = fileio.read_features(out / "features" / "feats" / f"{utt}.afs")
+        alpha = export_attention_weights(frames, att)
+        np.testing.assert_array_equal(
+            fileio.stored_frame_weights(alpha),
+            fileio.read_frame_weights(out / "weights" / f"{utt}.fwt"), err_msg=utt)
+
+
 def test_extract_runs_each_shared_pass_once(tiny_run, tmp_path, monkeypatch):
     _, out, _ = tiny_run
     cfg2, clone = _clone(tiny_run, tmp_path)
@@ -265,6 +278,8 @@ def test_extract_runs_each_shared_pass_once(tiny_run, tmp_path, monkeypatch):
     monkeypatch.setattr(network, "pool_weighted_stats", counted_pool)
     monkeypatch.setattr(network, "attention_scores", counted_scores)
     monkeypatch.setattr(ivector, "_posteriors", counted_solve)
+    weight_reads = []
+    monkeypatch.setattr(fileio, "read_frame_weights", weight_reads.append)
     lines = []
     run_pipeline(cfg2, stages=["extract"], echo=lines.append)
     assert "[extract]" in lines
@@ -281,6 +296,7 @@ def test_extract_runs_each_shared_pass_once(tiny_run, tmp_path, monkeypatch):
     assert len(scores) == n_utts
     assert set(scores.values()) == {1}
     assert solves == {4: n_utts}
+    assert weight_reads == []  # the exported weights are not read back
     for path in (out / "vectors").rglob("*.afs"):
         assert (clone / path.relative_to(out)).read_bytes() == path.read_bytes()
 
