@@ -95,7 +95,7 @@ def _speaker_groups(labels):
 
 
 def train_plda(vectors: np.ndarray, labels, subspace_dim: int,
-               n_iters: int = 10, seed: int = 0) -> PldaModel:
+               n_iters: int, seed: int = 0) -> PldaModel:
     """EM for the speaker subspace and within-class covariance.
 
     Initialization is deterministic (between-class scatter eigenvectors);

@@ -7,12 +7,14 @@ defaults and rejects unknown keys so typos fail loudly.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import yaml
 
+from .embednet.network import EmbedStageConfig
 from .errors import FormatError
+from .metrics import DEFAULT_P_TARGETS
 from .synth import SynthCorpusConfig
 
 KNOWN_SYSTEMS = ("S1", "S2", "S3", "S4", "S5", "S6")
@@ -24,22 +26,6 @@ class FeatureStageConfig:
     soft_vad_offset: float = -0.5
     soft_vad_smooth_radius: int = 2
     posterior_dir: str | None = None  # external VPS1 posteriors, keyed by utt id
-
-
-@dataclass
-class EmbedStageConfig:
-    hidden_dim: int = 64
-    pool_dim: int = 128
-    embed_dim: int = 32
-    attention_dim: int = 16
-    epochs: int = 25
-    lr: float = 0.01
-    momentum: float = 0.9
-    lr_decay: float = 0.5
-    decay_every: int = 10
-    chunk_len: int = 100
-    batch_size: int = 16
-    bn_momentum: float = 0.1
 
 
 @dataclass
@@ -63,7 +49,7 @@ class BackendStageConfig:
 
 @dataclass
 class EvalStageConfig:
-    p_targets: tuple = (0.01, 0.005)
+    p_targets: tuple = DEFAULT_P_TARGETS
 
 
 @dataclass
@@ -104,10 +90,11 @@ def default_config(**overrides) -> PipelineConfig:
 
 
 def validate(cfg: PipelineConfig) -> PipelineConfig:
-    """Run the field checks of cfg and of its synth slice; returns cfg.
-    ValueError names the first bad field."""
+    """Run the field checks of cfg and of its synth and embednet slices;
+    returns cfg. ValueError names the first bad field."""
     cfg.__post_init__()
     cfg.synth.__post_init__()
+    cfg.embednet.__post_init__()
     return cfg
 
 
@@ -159,13 +146,4 @@ def save_config(cfg: PipelineConfig, path):
 
 
 def copy_config(cfg: PipelineConfig) -> PipelineConfig:
-    return dataclasses.replace(
-        cfg,
-        synth=dataclasses.replace(cfg.synth),
-        features=dataclasses.replace(cfg.features),
-        embednet=dataclasses.replace(cfg.embednet),
-        ubm=dataclasses.replace(cfg.ubm),
-        tvm=dataclasses.replace(cfg.tvm),
-        backend=dataclasses.replace(cfg.backend),
-        eval=dataclasses.replace(cfg.eval),
-    )
+    return copy.deepcopy(cfg)

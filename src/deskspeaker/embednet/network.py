@@ -40,17 +40,14 @@ class TdnnLayer:
 
 
 @dataclass
-class EmbedNetConfig:
-    """Architecture plus optimizer knobs for one training run."""
+class EmbedStageConfig:
+    """The `embednet` config section: one architecture and training recipe,
+    shared by the plain and the attentive net."""
 
-    input_dim: int
-    n_speakers: int
     hidden_dim: int = 64
     pool_dim: int = 128
     embed_dim: int = 32
     attention_dim: int = 16
-    attentive: bool = True
-    tdnn_offsets: tuple = DEFAULT_TDNN_OFFSETS
     epochs: int = 25
     lr: float = 0.01
     momentum: float = 0.9
@@ -59,6 +56,24 @@ class EmbedNetConfig:
     chunk_len: int = 100
     batch_size: int = 16
     bn_momentum: float = 0.1
+
+    def __post_init__(self):
+        for name in ("hidden_dim", "pool_dim", "embed_dim", "attention_dim",
+                     "batch_size", "decay_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
+
+
+@dataclass(kw_only=True)
+class EmbedNetConfig(EmbedStageConfig):
+    """The section plus what the data and the run decide, for one net."""
+
+    input_dim: int
+    n_speakers: int
+    attentive: bool = True
+    tdnn_offsets: tuple = DEFAULT_TDNN_OFFSETS
     seed: int = 0
 
 
@@ -527,22 +542,22 @@ def load_embed_net(path) -> EmbedNetParams:
         offsets = tuple(tuple(meta[f"tdnn{i}.offset{j}"]
                               for j in range(meta[f"tdnn{i}.n_offsets"]))
                         for i in range(meta["n_tdnn"]))
-        cfg = EmbedNetConfig(meta["input_dim"], meta["n_speakers"],
-                             attentive=bool(meta["has_attention"]), tdnn_offsets=offsets)
+        dims = {"input_dim": meta["input_dim"], "n_speakers": meta["n_speakers"]}
+        attentive = bool(meta["has_attention"])
     except KeyError as exc:
         raise FormatError(f"{path}: missing meta key {exc}") from None
     if not offsets or not all(o and list(o) == sorted(set(o)) for o in offsets):
         raise FormatError(f"{path}: bad TDNN offsets {offsets}")
-    # a one-unit net names the ReLU sites (TDNN layers, head, segment layers)
-    probe = init_embed_net(EmbedNetConfig(1, 1, 1, 1, 1, 1, cfg.attentive, offsets), _ZeroDraws)
-    widths = [tensors.get(f"{site}.gamma", np.empty(0)).size for site, _, _ in relu_sites(probe)]
+    # each width is the size of the gamma of the norm after that layer
+    sites = {"hidden_dim": "tdnn0", "pool_dim": f"tdnn{len(offsets) - 1}",
+             "embed_dim": "norm2", **({"attention_dim": "att"} if attentive else {})}
+    for key, site in sites.items():
+        dims[key] = tensors.get(f"{site}.gamma", np.empty(0)).size
     n_values = sum(t.size for t in tensors.values())
-    if not all(1 <= n <= n_values for n in (cfg.input_dim, cfg.n_speakers, *widths)):
+    if not all(1 <= n <= n_values for n in dims.values()):
         raise FormatError(f"{path}: a dimension is zero or larger than the file")
-    n = len(offsets)
-    cfg.hidden_dim, cfg.pool_dim, cfg.attention_dim, cfg.embed_dim = (
-        widths[0], widths[n - 1], widths[n], widths[-1])
-    params = init_embed_net(cfg, _ZeroDraws)
+    params = init_embed_net(EmbedNetConfig(attentive=attentive, tdnn_offsets=offsets,
+                                           **dims), _ZeroDraws)
     for name, arr in _tensor_items(params):
         value = tensors.pop(name, None)
         if value is None or value.shape != arr.shape:

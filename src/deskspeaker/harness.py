@@ -255,19 +255,12 @@ def _stage_train_embed(cfg: PipelineConfig, out: Path, echo):
     label_of = {spk: i for i, spk in enumerate(speakers)}
     labels = [label_of[spk] for _, spk, _ in train]
     d = _stage_dir(out, "train-embed")
-    ecfg = cfg.embednet
     # One training seed for both kinds, whichever systems are selected: the
     # plain and attentive nets then differ only by the attention head.
     for kind in sorted(_nets_needed(cfg.systems)):
         net_cfg = EmbedNetConfig(
-            input_dim=utts[0].shape[1], n_speakers=len(speakers),
-            hidden_dim=ecfg.hidden_dim, pool_dim=ecfg.pool_dim,
-            embed_dim=ecfg.embed_dim, attention_dim=ecfg.attention_dim,
-            attentive=(kind == "att"), epochs=ecfg.epochs, lr=ecfg.lr,
-            momentum=ecfg.momentum, lr_decay=ecfg.lr_decay,
-            decay_every=ecfg.decay_every, chunk_len=ecfg.chunk_len,
-            batch_size=ecfg.batch_size, bn_momentum=ecfg.bn_momentum,
-            seed=cfg.seed + 11)
+            **dataclasses.asdict(cfg.embednet), input_dim=utts[0].shape[1],
+            n_speakers=len(speakers), attentive=(kind == "att"), seed=cfg.seed + 11)
         t0 = time.monotonic()
         params = train_embed_network(utts, labels, net_cfg,
                                      utt_ids=[utt for utt, _, _ in train])
@@ -276,7 +269,7 @@ def _stage_train_embed(cfg: PipelineConfig, out: Path, echo):
             # zero epochs train the warm start only: there is no final loss
             loss = (f"final loss {params.train_loss[-1]:.4f}"
                     if len(params.train_loss) else "no final loss")
-            echo(f"  {kind}: {ecfg.epochs} epochs, {loss} "
+            echo(f"  {kind}: {net_cfg.epochs} epochs, {loss} "
                  f"({time.monotonic() - t0:.1f}s)")
 
 

@@ -78,7 +78,8 @@ def weighted_stats(frames: np.ndarray, post: np.ndarray, gmm: DiagGmm,
         if weights.shape != (length,):
             raise DegenerateWeightsError(
                 f"{weights.shape} weights for {length} frames")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
+        # a NaN weight fails the first test
+        if not np.all(weights >= 0) or abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
             raise DegenerateWeightsError("frame weights must be a simplex vector")
         post = post * (length * weights)[:, None]
     n = post.sum(axis=0)
@@ -121,7 +122,7 @@ def extract_ivector(stats: SufficientStats | list[SufficientStats],
     return phi[0] if isinstance(stats, SufficientStats) else phi
 
 
-def train_tvm(stats_list, gmm: DiagGmm, rank: int, n_iters: int = 10,
+def train_tvm(stats_list, gmm: DiagGmm, rank: int, n_iters: int,
               seed: int = 0) -> TotalVariabilityModel:
     """EM estimation of T; the UBM supplies the fixed mean and variance.
 

@@ -20,6 +20,7 @@ from .fileio import read_gmm, write_gmm
 
 VAR_FLOOR_FRAC = 1e-6
 BLOCK_FRAMES = 4096
+LLOYD_ITERS = 5  # Lloyd updates between the k-means++ seeds and EM
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
@@ -137,8 +138,8 @@ def _kmeans_pp(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return np.array(centers)
 
 
-def train_gmm(frames: np.ndarray, n_components: int, n_iters: int = 20,
-              seed: int = 0, lloyd_iters: int = 5) -> DiagGmm:
+def train_gmm(frames: np.ndarray, n_components: int, n_iters: int,
+              seed: int = 0) -> DiagGmm:
     """EM training from a k-means++ start. Returns the model with its
     per-iteration total log-likelihood in ``em_loglik``."""
     frames = np.asarray(frames, dtype=np.float64)
@@ -151,7 +152,7 @@ def train_gmm(frames: np.ndarray, n_components: int, n_iters: int = 20,
     floor = np.maximum(VAR_FLOOR_FRAC * global_var, 1e-12)
 
     centers = _kmeans_pp(frames, n_components, rng)
-    for _ in range(lloyd_iters):
+    for _ in range(LLOYD_ITERS):
         assign = _nearest(frames, centers)
         for c in range(n_components):
             sel = assign == c

@@ -146,7 +146,7 @@ class TestPldaTraining:
         rng = np.random.default_rng(114)
         vectors, labels, _, _ = _plda_sample(rng, n_speakers=6, per=3)
         with pytest.raises(ValueError):
-            train_plda(vectors, labels, subspace_dim=6)
+            train_plda(vectors, labels, subspace_dim=6, n_iters=10)
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(115)

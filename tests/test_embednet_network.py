@@ -466,8 +466,15 @@ class TestSaveLoad:
         (lambda meta, tensors: tensors.update({"seg3.w": np.eye(2)}), "seg3.w"),
         (lambda meta, tensors: tensors.update(
             {"seg2.w": tensors["seg2.w"][:, 1:]}), "seg2.w"),
+        # the widths come from these gammas' sizes, checked before any
+        # allocation: a zero one is a format error, not a config error
+        *((lambda meta, tensors, name=name: tensors.update({name: np.zeros(0)}), "zero")
+          for name in ("tdnn0.gamma", "tdnn2.gamma", "att.gamma", "norm2.gamma")),
+        (lambda meta, tensors: meta.update({"input_dim": 0}), "zero"),
     ], ids=["missing-meta-key", "unsorted-offsets", "absurd-input-dim",
-            "missing-tensor", "extra-tensor", "misshaped-tensor"])
+            "missing-tensor", "extra-tensor", "misshaped-tensor",
+            "zero-hidden-dim", "zero-pool-dim", "zero-attention-dim",
+            "zero-embed-dim", "zero-input-dim"])
     def test_malformed_net_raises_format_error(self, tmp_path, damage, message):
         path = tmp_path / "net.emb1"
         save_embed_net(path, _toy_params(np.random.default_rng(57)))

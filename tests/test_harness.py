@@ -20,8 +20,8 @@ import pytest
 
 from deskspeaker import fileio, harness, ivector
 from deskspeaker.cli import build_parser, main
-from deskspeaker.config import (config_to_dict, copy_config, default_config,
-                                load_config, save_config)
+from deskspeaker.config import (EmbedStageConfig, config_to_dict, copy_config,
+                                default_config, load_config, save_config)
 from deskspeaker.embednet import (combine_weights, export_attention_weights,
                                   extract_embedding, load_embed_net, network)
 from deskspeaker.errors import (DegenerateWeightsError, FormatError,
@@ -396,6 +396,28 @@ def test_report_refuses_stale_scores(tiny_run, tmp_path):
         run_pipeline(cfg, stages=["report"])
 
 
+def test_train_embed_gets_the_whole_embednet_section(tiny_run, tmp_path, monkeypatch):
+    cfg, clone = _clone(tiny_run, tmp_path)
+    (clone / "embed" / ".stamp.json").unlink()
+    train_embed_network, seen = harness.train_embed_network, []
+
+    def spy(utterances, labels, net_cfg, utt_ids=None):
+        seen.append(net_cfg)
+        return train_embed_network(utterances, labels, net_cfg, utt_ids)
+
+    monkeypatch.setattr(harness, "train_embed_network", spy)
+    run_pipeline(cfg, stages=["train-embed"])
+    assert sorted(c.attentive for c in seen) == [False, True]
+    for net_cfg in seen:
+        for f in dataclasses.fields(EmbedStageConfig):
+            assert getattr(net_cfg, f.name) == getattr(cfg.embednet, f.name), f.name
+        assert net_cfg.seed == cfg.seed + 11
+    _, out, _ = tiny_run
+    for kind in ("att", "nonatt"):
+        name = f"{kind}.emb1"
+        assert (clone / "embed" / name).read_bytes() == (out / "embed" / name).read_bytes()
+
+
 def test_failed_stage_leaves_no_stamp(tiny_run, tmp_path, monkeypatch):
     # Under another config the score stage writes one score file, then
     # fails. Back under the first config, whose stamp that stage had left,
@@ -657,6 +679,27 @@ def test_run_pipeline_validates_a_config_changed_after_it_was_built(tmp_path):
     with pytest.raises(ValueError, match="soft_vad"):
         run_pipeline(cfg)
     assert not (tmp_path / "run").exists()
+    for name, value in (("hidden_dim", 0), ("pool_dim", 0), ("embed_dim", 0),
+                        ("attention_dim", 0), ("batch_size", 0),
+                        ("decay_every", 0), ("epochs", -1)):
+        cfg = _tiny_config(tmp_path / "run")
+        setattr(cfg.embednet, name, value)
+        with pytest.raises(ValueError, match=name):
+            run_pipeline(cfg)
+        assert not (tmp_path / "run").exists()
+
+
+def test_cli_refuses_a_bad_embednet_value(tmp_path, capsys):
+    # Refused when the config is loaded: a zero width would otherwise fail
+    # with a ZeroDivisionError once synth and features had run.
+    cfg = _tiny_config(tmp_path / "run")
+    cfg.embednet.hidden_dim = 0
+    path = tmp_path / "cfg.yaml"
+    save_config(cfg, path)
+    assert main(["run-all", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("deskspeaker: ") and "hidden_dim" in err
+    assert not (tmp_path / "run" / "corpus" / ".stamp.json").exists()
 
 
 @pytest.mark.parametrize("model", ["ubm", "tvm"])

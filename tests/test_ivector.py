@@ -131,6 +131,8 @@ class TestStatistics:
         bad[0] = -bad[0]
         with pytest.raises(DegenerateWeightsError):
             accumulate_stats(frames, gmm, bad + (1.0 - bad.sum()) / 8)
+        with pytest.raises(DegenerateWeightsError):  # NaN compares false both ways
+            accumulate_stats(frames, gmm, np.r_[np.nan, np.full(7, 1.0 / 7)])
 
 
 class TestExtraction:
@@ -234,7 +236,7 @@ class TestTvmTraining:
     def test_no_statistics_rejected(self):
         gmm = _random_gmm(np.random.default_rng(96))
         with pytest.raises(EmptyInputError):
-            train_tvm([], gmm, rank=2)
+            train_tvm([], gmm, rank=2, n_iters=10)
 
     def test_determinism(self):
         rng = np.random.default_rng(91)

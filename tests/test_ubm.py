@@ -147,7 +147,7 @@ class TestTraining:
 
     def test_too_few_frames_rejected(self):
         with pytest.raises(EmptyInputError):
-            train_gmm(np.zeros((3, 2)), 4)
+            train_gmm(np.zeros((3, 2)), 4, n_iters=20)
 
     def test_survives_duplicate_frames(self):
         # a degenerate cluster of identical points must not produce NaN
