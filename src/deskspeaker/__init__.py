@@ -4,8 +4,7 @@ and frame-weighted i-vectors, compared end to end on synthetic corpora."""
 from .backend import (PldaModel, Preprocessor, apply_preprocess,
                       fit_preprocessor, plda_score, plda_score_matrix,
                       train_plda)
-from .config import (PipelineConfig, config_to_dict, copy_config,
-                     default_config, load_config, save_config)
+from .config import PipelineConfig, default_config, load_config, save_config
 from .errors import (DegenerateScoreSetError, DegenerateWeightsError,
                      DeskSpeakerError, EmptyInputError, FormatError,
                      MissingAttentionError, NumericsError,
@@ -22,8 +21,7 @@ from .ubm import DiagGmm, gmm_loglik, gmm_posteriors, train_gmm
 __version__ = "0.1.0"
 
 __all__ = [
-    "PipelineConfig", "default_config",
-    "load_config", "save_config", "config_to_dict", "copy_config",
+    "PipelineConfig", "default_config", "load_config", "save_config",
     "run_pipeline", "Report", "SystemResult", "load_report",
     "expand_frame_weights", "SynthCorpus",
     "SynthCorpusConfig", "generate_corpus", "DiagGmm", "train_gmm",

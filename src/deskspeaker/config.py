@@ -7,7 +7,6 @@ defaults and rejects unknown keys so typos fail loudly.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import yaml
@@ -22,10 +21,13 @@ KNOWN_SYSTEMS = ("S1", "S2", "S3", "S4", "S5", "S6")
 
 @dataclass
 class FeatureStageConfig:
-    soft_vad_slope: float = 2.0
-    soft_vad_offset: float = -0.5
-    soft_vad_smooth_radius: int = 2
     posterior_dir: str | None = None  # external VPS1 posteriors, keyed by utt id
+
+
+def _at_least(section, **minimums):
+    for name, minimum in minimums.items():
+        if getattr(section, name) < minimum:
+            raise ValueError(f"{name} must be at least {minimum}")
 
 
 @dataclass
@@ -33,11 +35,17 @@ class UbmStageConfig:
     n_components: int = 16
     n_iters: int = 15
 
+    def __post_init__(self):
+        _at_least(self, n_components=1, n_iters=0)
+
 
 @dataclass
 class TvmStageConfig:
     rank: int = 16
     n_iters: int = 10
+
+    def __post_init__(self):
+        _at_least(self, rank=1, n_iters=0)
 
 
 @dataclass
@@ -46,10 +54,17 @@ class BackendStageConfig:
     plda_dim_ivector: int = 16
     n_iters: int = 10
 
+    def __post_init__(self):
+        _at_least(self, plda_dim_embed=0, plda_dim_ivector=0, n_iters=0)
+
 
 @dataclass
 class EvalStageConfig:
     p_targets: tuple = DEFAULT_P_TARGETS
+
+    def __post_init__(self):
+        if not self.p_targets or not all(0 < p < 1 for p in self.p_targets):
+            raise ValueError("p_targets must be one or more priors in (0, 1)")
 
 
 @dataclass
@@ -81,20 +96,18 @@ class PipelineConfig:
 
 
 def default_config(**overrides) -> PipelineConfig:
-    cfg = PipelineConfig()
-    for key, val in overrides.items():
-        if not hasattr(cfg, key):
-            raise ValueError(f"unknown config field {key!r}")
-        setattr(cfg, key, val)
-    return validate(cfg)
+    return validate(_merge(PipelineConfig(), overrides, ""))
 
 
 def validate(cfg: PipelineConfig) -> PipelineConfig:
-    """Run the field checks of cfg and of its synth and embednet slices;
-    returns cfg. ValueError names the first bad field."""
+    """Run the field checks of cfg and of each of its sections; returns cfg.
+    ValueError names the first bad field, prefixed by its section's name."""
     cfg.__post_init__()
-    cfg.synth.__post_init__()
-    cfg.embednet.__post_init__()
+    for f in fields(cfg):
+        try:
+            getattr(getattr(cfg, f.name), "__post_init__", lambda: None)()
+        except ValueError as exc:
+            raise ValueError(f"{f.name}: {exc}") from None
     return cfg
 
 
@@ -121,29 +134,19 @@ def load_config(path) -> PipelineConfig:
             raise FormatError(f"{path}: malformed YAML: {exc}") from exc
     if not isinstance(tree, dict):
         raise ValueError(f"{path}: config must be a key-value tree")
-    cfg = PipelineConfig()
-    _merge(cfg, tree, "")
-    return validate(cfg)
+    return validate(_merge(PipelineConfig(), tree, ""))
 
 
-def _plain(value):
+def config_to_dict(value):
+    """The config as plain YAML-ready values: dicts, lists and scalars."""
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if isinstance(value, list):
-        return [_plain(v) for v in value]
+        return {f.name: config_to_dict(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [config_to_dict(v) for v in value]
     return value
-
-
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    return _plain(cfg)
 
 
 def save_config(cfg: PipelineConfig, path):
     with open(path, "w") as f:
         yaml.safe_dump(config_to_dict(cfg), f, sort_keys=False)
 
-
-def copy_config(cfg: PipelineConfig) -> PipelineConfig:
-    return copy.deepcopy(cfg)

@@ -50,16 +50,11 @@ class EmbedStageConfig:
     attention_dim: int = 16
     epochs: int = 25
     lr: float = 0.01
-    momentum: float = 0.9
-    lr_decay: float = 0.5
-    decay_every: int = 10
     chunk_len: int = 100
     batch_size: int = 16
-    bn_momentum: float = 0.1
 
     def __post_init__(self):
-        for name in ("hidden_dim", "pool_dim", "embed_dim", "attention_dim",
-                     "batch_size", "decay_every"):
+        for name in ("hidden_dim", "pool_dim", "embed_dim", "attention_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.epochs < 0:

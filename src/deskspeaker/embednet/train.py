@@ -21,6 +21,12 @@ from .network import (EmbedNetConfig, EmbedNetParams, _check_context,
 
 log = logging.getLogger(__name__)
 
+# The SGD schedule; BN_MOMENTUM is the share of each batch in the norms' buffers.
+MOMENTUM = 0.9
+LR_DECAY = 0.5
+DECAY_EVERY = 10
+BN_MOMENTUM = 0.1
+
 
 def _sample_chunk(frames: np.ndarray, chunk_len: int, rng: np.random.Generator):
     if frames.shape[0] <= chunk_len:
@@ -125,7 +131,7 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig,
     velocity = {name: np.zeros_like(arr) for name, arr in items}
     history = []
     for epoch in range(cfg.epochs):
-        lr = cfg.lr * (cfg.lr_decay ** (epoch // cfg.decay_every))
+        lr = cfg.lr * (LR_DECAY ** (epoch // DECAY_EVERY))
         order = rng.permutation(n_utts)
         epoch_loss = 0.0
         for start in range(0, n_utts, cfg.batch_size):
@@ -146,10 +152,10 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig,
                     _add_moments(sums, site, r)
             for name, arr in items:
                 v = velocity[name]
-                v *= cfg.momentum
+                v *= MOMENTUM
                 v += grad_sum[name] / len(batch)
                 arr -= lr * v
-            _update_norms(params, sums, cfg.bn_momentum)
+            _update_norms(params, sums, BN_MOMENTUM)
         history.append(epoch_loss / n_utts)
         if not np.isfinite(history[-1]):
             raise NumericsError(

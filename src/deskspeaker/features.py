@@ -5,7 +5,7 @@ Conventions
 -----------
 * Frames are rows; column 0 carries the log frame energy.
 * The threshold is corpus-relative: mean log-energy of the utterance plus a
-  configured offset.
+  fixed offset.
 * Soft-VAD posteriors are a logistic squashing of that log-energy, smoothed
   with a small moving average; they stand in for an external posterior
   stream, which can be supplied instead via VPS1 files.
@@ -28,8 +28,8 @@ def _moving_average(x: np.ndarray, radius: int) -> np.ndarray:
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 
-def soft_vad_posteriors(frames: np.ndarray, slope: float, offset: float,
-                        smooth_radius: int) -> np.ndarray:
+def soft_vad_posteriors(frames: np.ndarray, slope: float = 2.0, offset: float = -0.5,
+                        smooth_radius: int = 2) -> np.ndarray:
     """Per-frame voice posteriors from a logistic on log energy.
 
     q_t = logistic(slope * (log_energy_t - mean(log_energy) - offset)), then

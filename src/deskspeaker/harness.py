@@ -224,8 +224,7 @@ def _stage_features(cfg: PipelineConfig, out: Path, echo):
                     f"external posteriors for {utt}: {q.shape[0]} frames, "
                     f"expected {frames.shape[0]}")
         else:
-            q = soft_vad_posteriors(frames, fcfg.soft_vad_slope, fcfg.soft_vad_offset,
-                                    fcfg.soft_vad_smooth_radius)
+            q = soft_vad_posteriors(frames)
         fileio.write_features(d / "feats" / f"{utt}.afs", frames)
         fileio.write_posteriors(d / "q" / f"{utt}.vps", q)
     (d / "manifest.tsv").write_text((src / "manifest.tsv").read_text())

@@ -2,11 +2,11 @@
 
 Each speaker is a small Gaussian mixture in feature space: a speaker mean
 drawn from an isotropic prior scaled by ``speaker_spread``, per-speaker
-component offsets, a per-utterance channel offset, and per-frame residual
-noise. Column 0 acts as log-energy and is generated separately so voice and
-noise frames are energy-separable: noise frames come from one shared
-low-energy distribution (no speaker information) and are injected in bursts
-covering an exact, per-utterance count of frames.
+unit-variance component offsets, a per-utterance channel offset, and
+per-frame residual noise. Column 0 acts as log-energy and is generated
+separately so voice and noise frames are energy-separable: noise frames come
+from one shared low-energy distribution (no speaker information) and are
+injected in bursts covering an exact, per-utterance count of frames.
 
 Everything is deterministic in the master seed; each utterance draws from its
 own spawned child stream, so generation order is immaterial.
@@ -18,6 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+N_COMPONENTS = 4
+RESIDUAL_STD = 0.7
+NOISE_FEATURE_STD = 0.3
+VOICE_ENERGY_MEAN = 1.0
+VOICE_ENERGY_STD = 0.6
+NOISE_ENERGY_MEAN = -3.0
+NOISE_ENERGY_STD = 0.3
+
 
 @dataclass
 class SynthCorpusConfig:
@@ -27,16 +35,8 @@ class SynthCorpusConfig:
     feature_dim: int = 12
     speaker_spread: float = 3.0
     channel_spread: float = 1.0
-    component_spread: float = 1.0
-    residual_std: float = 0.7
-    n_components: int = 4
     noise_frame_fraction: float = 0.30
     noise_fraction_jitter: float = 0.0
-    noise_feature_std: float = 0.3
-    voice_energy_mean: float = 1.0
-    voice_energy_std: float = 0.6
-    noise_energy_mean: float = -3.0
-    noise_energy_std: float = 0.3
     train_speaker_fraction: float = 0.7
     enroll_utts_per_speaker: int = 3
 
@@ -100,8 +100,7 @@ def generate_corpus(cfg: SynthCorpusConfig, seed: int) -> SynthCorpus:
     fdim = dim - 1  # non-energy feature dims
 
     speaker_means = master.standard_normal((cfg.n_speakers, fdim)) * cfg.speaker_spread
-    component_offsets = master.standard_normal(
-        (cfg.n_speakers, cfg.n_components, fdim)) * cfg.component_spread
+    component_offsets = master.standard_normal((cfg.n_speakers, N_COMPONENTS, fdim))
 
     n_train_speakers = int(round(cfg.train_speaker_fraction * cfg.n_speakers))
     n_train_speakers = min(max(n_train_speakers, 1), cfg.n_speakers - 1)
@@ -134,18 +133,18 @@ def generate_corpus(cfg: SynthCorpusConfig, seed: int) -> SynthCorpus:
             noise = _noise_mask(length, n_noise, rng)
 
             channel = rng.standard_normal(fdim) * cfg.channel_spread
-            comps = rng.integers(0, cfg.n_components, size=length)
+            comps = rng.integers(0, N_COMPONENTS, size=length)
             identity = speaker_means[s] + component_offsets[s][comps]
             body = (identity + channel
-                    + rng.standard_normal((length, fdim)) * cfg.residual_std)
+                    + rng.standard_normal((length, fdim)) * RESIDUAL_STD)
             frames[:, 1:] = body
-            frames[:, 0] = (cfg.voice_energy_mean
-                            + rng.standard_normal(length) * cfg.voice_energy_std)
+            frames[:, 0] = (VOICE_ENERGY_MEAN
+                            + rng.standard_normal(length) * VOICE_ENERGY_STD)
             if n_noise:
                 frames[noise, 1:] = rng.standard_normal(
-                    (n_noise, fdim)) * cfg.noise_feature_std
-                frames[noise, 0] = (cfg.noise_energy_mean
-                                    + rng.standard_normal(n_noise) * cfg.noise_energy_std)
+                    (n_noise, fdim)) * NOISE_FEATURE_STD
+                frames[noise, 0] = (NOISE_ENERGY_MEAN
+                                    + rng.standard_normal(n_noise) * NOISE_ENERGY_STD)
 
             utt_id = f"{spk}_u{j:02d}"
             utt_ids.append(utt_id)

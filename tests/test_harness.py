@@ -5,6 +5,7 @@ utterances, 2 training epochs) so the whole pipeline finishes in seconds.
 """
 
 import argparse
+import copy
 import dataclasses
 import functools
 import importlib
@@ -20,7 +21,7 @@ import pytest
 
 from deskspeaker import fileio, harness, ivector
 from deskspeaker.cli import build_parser, main
-from deskspeaker.config import (EmbedStageConfig, config_to_dict, copy_config,
+from deskspeaker.config import (EmbedStageConfig, config_to_dict,
                                 default_config, load_config, save_config)
 from deskspeaker.embednet import (combine_weights, export_attention_weights,
                                   extract_embedding, load_embed_net, network)
@@ -159,7 +160,7 @@ def _clone(tiny_run, tmp_path):
     cfg, out, _ = tiny_run
     clone = tmp_path / "clone"
     shutil.copytree(out, clone)
-    cfg2 = copy_config(cfg)
+    cfg2 = copy.deepcopy(cfg)
     cfg2.out = str(clone)
     return cfg2, clone
 
@@ -382,7 +383,7 @@ def test_selected_stage_refuses_stale_upstream(tiny_run, tmp_path):
     run_pipeline(cfg, echo=lines.append)
     assert "[train-embed]" in lines
     assert "[extract]" in lines and "[extract] up to date" not in lines
-    fresh = copy_config(cfg)
+    fresh = copy.deepcopy(cfg)
     fresh.out = str(tmp_path / "fresh")
     run_pipeline(fresh)
     assert _tree_bytes(clone / "vectors") \
@@ -424,7 +425,7 @@ def test_failed_stage_leaves_no_stamp(tiny_run, tmp_path, monkeypatch):
     # it must run again rather than pass the mixed files as up to date.
     cfg, clone = _clone(tiny_run, tmp_path)
     before = _tree_bytes(clone / "scores")
-    other = copy_config(cfg)
+    other = copy.deepcopy(cfg)
     other.backend.n_iters += 1
     write_scores = fileio.write_scores
 
@@ -472,7 +473,7 @@ def test_every_config_field_is_fingerprinted():
     leaves = list(_config_leaves(base))
     assert _UNHASHED <= set(leaves)
     for path in leaves:
-        cfg = copy_config(base)
+        cfg = copy.deepcopy(base)
         *parents, name = path.split(".")
         holder = functools.reduce(getattr, parents, cfg)
         setattr(holder, name, _perturbed(getattr(holder, name)))
@@ -484,13 +485,18 @@ def test_config_with_synth_seed_is_refused(tmp_path):
     # Keys an earlier version wrote are refused, not ignored: the corpus is
     # drawn from the master seed, with no second seed, the hard energy VAD
     # went with its threshold offset, every frame file carries the one fixed
-    # frame period, and the per-component speaker gains went unused.
+    # frame period, the per-component speaker gains went unused, and the
+    # corpus shape, the soft-VAD logistic and the SGD schedule are constants.
     path = tmp_path / "old.yaml"
     for text, key in [("seed: 5\nsynth:\n  seed: 3\n", "synth.seed"),
                       ("features:\n  vad_offset: -0.5\n", "features.vad_offset"),
                       ("synth:\n  frame_period: 0.01\n", "synth.frame_period"),
                       ("synth:\n  component_speaker_gain: [1, 1, 1, 1]\n",
-                       "synth.component_speaker_gain")]:
+                       "synth.component_speaker_gain"),
+                      ("synth:\n  residual_std: 0.7\n", "synth.residual_std"),
+                      ("features:\n  soft_vad_slope: 2.0\n",
+                       "features.soft_vad_slope"),
+                      ("embednet:\n  lr_decay: 0.5\n", "embednet.lr_decay")]:
         path.write_text(text)
         with pytest.raises(ValueError, match=key):
             load_config(path)
@@ -500,15 +506,15 @@ def test_default_fingerprints_are_pinned():
     # Run directories stamped by earlier versions stay valid only while the
     # fingerprint payload is unchanged.
     assert harness._stage_fingerprints(default_config()) == {
-        "synth": "935d8132d6985e02",
-        "features": "953b12b5c27c5097",
-        "train-embed": "dc79b3bfc0ef27cd",
-        "train-ubm": "798feeac0f918d55",
-        "train-tvm": "c0bffe96793977af",
-        "extract": "81a1856f6e86274f",
-        "backend": "1ab95378fa6e8857",
-        "score": "a5e545c4d64b1c0f",
-        "report": "7973642859b29b64",
+        "synth": "8ec43a00c31a683e",
+        "features": "119c2eab086609a9",
+        "train-embed": "d661c48a428c8c2b",
+        "train-ubm": "325af607d18cb091",
+        "train-tvm": "c1cfa574ff15e6f4",
+        "extract": "b6297ba785930c8b",
+        "backend": "17d507490dab8e91",
+        "score": "1e0166aef0237854",
+        "report": "ff849aa769362378",
     }
 
 
@@ -575,7 +581,7 @@ def test_systems_subset_trains_the_same_plain_net(tiny_run, tmp_path):
     # the plain net's training seed must not depend on which other systems
     # were selected
     cfg, out, report = tiny_run
-    sub = copy_config(cfg)
+    sub = copy.deepcopy(cfg)
     sub.out = str(tmp_path / "s1_only")
     sub.systems = ("S1",)
     sub_report = run_pipeline(sub)
@@ -679,12 +685,18 @@ def test_run_pipeline_validates_a_config_changed_after_it_was_built(tmp_path):
     with pytest.raises(ValueError, match="soft_vad"):
         run_pipeline(cfg)
     assert not (tmp_path / "run").exists()
-    for name, value in (("hidden_dim", 0), ("pool_dim", 0), ("embed_dim", 0),
-                        ("attention_dim", 0), ("batch_size", 0),
-                        ("decay_every", 0), ("epochs", -1)):
+    for section, name, value in (
+            ("embednet", "hidden_dim", 0), ("embednet", "pool_dim", 0),
+            ("embednet", "embed_dim", 0), ("embednet", "attention_dim", 0),
+            ("embednet", "batch_size", 0), ("embednet", "epochs", -1),
+            ("ubm", "n_components", 0), ("ubm", "n_iters", -1),
+            ("tvm", "rank", 0), ("tvm", "n_iters", -1),
+            ("backend", "plda_dim_embed", -1), ("backend", "plda_dim_ivector", -1),
+            ("backend", "n_iters", -1), ("eval", "p_targets", ()),
+            ("eval", "p_targets", (0.01, 1.0)), ("eval", "p_targets", (0.0,))):
         cfg = _tiny_config(tmp_path / "run")
-        setattr(cfg.embednet, name, value)
-        with pytest.raises(ValueError, match=name):
+        setattr(getattr(cfg, section), name, value)
+        with pytest.raises(ValueError, match=f"{section}: {name}"):
             run_pipeline(cfg)
         assert not (tmp_path / "run").exists()
 
