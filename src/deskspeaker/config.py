@@ -111,6 +111,16 @@ def validate(cfg: PipelineConfig) -> PipelineConfig:
     return cfg
 
 
+def _fits(value, default) -> bool:
+    """Whether value may replace a field's default: a value of its type, an
+    int for a float, a str for None, and a list for a tuple whose items each
+    fit the default's first item. A bool is not an int here."""
+    if isinstance(default, tuple):
+        return type(value) in (tuple, list) and all(_fits(v, default[0]) for v in value)
+    allowed = {float: (int, float), type(None): (type(None), str)}
+    return type(value) in allowed.get(type(default), (type(default),))
+
+
 def _merge(obj, tree: dict, path: str):
     names = {f.name: f for f in fields(obj)}
     for key, val in tree.items():
@@ -119,6 +129,9 @@ def _merge(obj, tree: dict, path: str):
         current = getattr(obj, key)
         if is_dataclass(current) and isinstance(val, dict):
             _merge(current, val, f"{path}{key}.")
+        elif not _fits(val, current):
+            kind = "a section" if is_dataclass(current) else f"type {type(current or '').__name__}"
+            raise ValueError(f"config key {path}{key} takes {kind}, not {val!r}")
         else:
             if isinstance(current, tuple) and isinstance(val, list):
                 val = tuple(val)

@@ -1,8 +1,11 @@
 """TDNN embedding network: parameters, forward pass, analytic backward pass.
 
-Everything is float64 numpy. Normalization layers read their running buffers
-during the differentiated computation (the buffers are updated between steps,
-never inside them), so the analytic gradients are exact for the loss actually
+Parameters and extraction are float64 numpy. A training step runs the TDNN
+stack, forward and backward, in the dtype of its fold (float32 chunks under
+float64 parameters in train_embed_network) and everything above the stack
+in float64. Normalization layers read their running buffers during the
+differentiated computation (the buffers are updated between steps, never
+inside them), so the analytic gradients are exact for the loss actually
 evaluated and can be checked against central finite differences.
 
 The TDNN stack runs folded (fold_tdnn), in training and extraction alike:
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (FormatError, MissingAttentionError,
+from ..errors import (FormatError, MissingAttentionError, NumericsError,
                       TooShortUtteranceError)
 from ..fileio import read_named_tensors, write_named_tensors
 from .ops import (AttentionParams, BatchNorm, _block_forward, _row_products,
@@ -102,8 +105,10 @@ class FoldedTdnn:
     offset. norms holds (inv, scale, shift) per layer: its norm outputs
     y = scale * r + shift, with inv = 1 / sqrt(running_var + eps). Every norm
     but the last is folded into the layer after it, and the last one is
-    applied to the stack's output. It copies every array it holds, so
-    training the source net afterwards leaves it stale: fold again.
+    applied to the stack's output. weights holds each layer's unfolded
+    weight in the fold's dtype, for the training backward: a cast copy, or
+    the net's own array in float64. Every other array is a copy in that
+    dtype, so training the source net afterwards leaves it stale: fold again.
     """
 
     input_dim: int
@@ -111,6 +116,7 @@ class FoldedTdnn:
     right_context: int
     layers: tuple
     norms: tuple
+    weights: tuple
 
 
 def init_embed_net(cfg: EmbedNetConfig, rng: np.random.Generator,
@@ -160,13 +166,13 @@ def _check_context(params: EmbedNetParams | FoldedTdnn, n_frames: int, utt_id=No
             f"{name}{n_frames} frames cannot cover the network's context of {needed} frames")
 
 
-def fold_tdnn(params: EmbedNetParams) -> FoldedTdnn:
+def fold_tdnn(params: EmbedNetParams, dtype=np.float64) -> FoldedTdnn:
     """Fold every norm of the TDNN stack into the layer after it.
 
     A norm outputs y = a * r + c, with a = gamma / sqrt(var + eps) and
     c = beta - mean * a. The next layer reads y through its spliced weight
     W and bias b, so it may read r instead through W * tile(a) and
-    b + W @ tile(c).
+    b + W @ tile(c). The fold is computed in float64 and stored in dtype.
     """
     layers, norms = [], []
     for layer in params.tdnn:
@@ -177,14 +183,15 @@ def fold_tdnn(params: EmbedNetParams) -> FoldedTdnn:
             bias += weight @ np.tile(shift, n_taps)
             weight = weight * np.tile(scale, n_taps)
         width = weight.shape[1] // n_taps
-        taps = tuple(np.array(weight[:, j * width:(j + 1) * width].T, order="C")
+        taps = tuple(np.array(weight[:, j * width:(j + 1) * width].T, dtype, order="C")
                      for j in range(n_taps))
-        layers.append((layer.offsets, taps, bias))
+        layers.append((layer.offsets, taps, bias.astype(dtype)))
         inv = layer.norm.scale()
         scale = layer.norm.gamma * inv
         norms.append((inv, scale, layer.norm.beta - layer.norm.running_mean * scale))
     return FoldedTdnn(params.input_dim, params.left_context, params.right_context,
-                      tuple(layers), tuple(norms))
+                      tuple(layers), tuple(tuple(a.astype(dtype) for a in n) for n in norms),
+                      tuple(np.asarray(layer.linear.weight, dtype) for layer in params.tdnn))
 
 
 def _folded_forward(net: FoldedTdnn, x: np.ndarray, post: list | None = None,
@@ -395,25 +402,28 @@ def kink_margin(params: EmbedNetParams, x: np.ndarray, mode: str):
 
 
 def _block_backward(dy, x, r, layer, norm, grads: dict, acts: dict,
-                    layer_name: str, site: str, factors=None) -> np.ndarray:
+                    layer_name: str, site: str, factors=None, offsets=(0,)) -> np.ndarray:
     """Backward of one Linear -> ReLU -> norm block (see ops._block_forward)
     over rows. dy is the loss gradient of the block's output, overwritten;
     x and r are the block's input and post-ReLU arrays (r > 0 exactly where
     the ReLU's input is). factors: the norm's (inv, scale) from a fold,
     inv = 1 / sqrt(var + eps) and scale = gamma * inv; computed from norm
-    when not given. Stores the gradients of `layer_name`.w/.b and
-    `site`.gamma/.beta in grads and r as acts[site], and returns the
-    gradient of the block's pre-ReLU input."""
+    when not given. offsets: the layer's splice, whose weight gradient is
+    one product per tap with the shifted rows of x. Stores the gradients of
+    `layer_name`.w/.b and `site`.gamma/.beta in grads and r as acts[site],
+    and returns the gradient of the block's pre-ReLU input."""
     if factors is None:
         inv = norm.scale()
         factors = inv, norm.gamma * inv
     inv, scale = factors
-    grads[f"{site}.gamma"] = (dy * (r - norm.running_mean) * inv).sum(axis=0)
-    grads[f"{site}.beta"] = dy.sum(axis=0)
+    dbeta = grads[f"{site}.beta"] = dy.sum(axis=0)
+    grads[f"{site}.gamma"] = inv * (np.einsum("ij,ij->j", dy, r) - norm.running_mean * dbeta)
     dz = np.multiply(dy, scale, out=dy)
     dz *= r > 0
     # np.dot, not @: on one-row blocks matmul takes a slow non-BLAS path
-    grads[f"{layer_name}.w"] = np.dot(dz.T, x)
+    n = dz.shape[0]
+    taps = [np.dot(dz.T, x[o - offsets[0]:o - offsets[0] + n]) for o in offsets]
+    grads[f"{layer_name}.w"] = taps[0] if len(taps) == 1 else np.hstack(taps)
     grads[f"{layer_name}.b"] = dz.sum(axis=0)
     acts[site] = r
     return dz
@@ -424,7 +434,9 @@ def chunk_loss_and_grads(params: EmbedNetParams, x: np.ndarray, label: int, mode
     """Forward + analytic backward for one chunk.
 
     net: the fold of params to run (default: fold_tdnn(params)); a training
-    step folds once for all of its chunks.
+    step folds once for all of its chunks. The TDNN stack runs forward and
+    backward in the fold's dtype, and a non-finite hidden frame raises
+    NumericsError; the hidden frames are float64 from there.
     Returns (loss, grads, activations): grads keyed like _param_items;
     activations holds the pre-norm (post-ReLU) arrays each norm layer saw,
     for the running-statistics update done outside the gradient path.
@@ -432,6 +444,9 @@ def chunk_loss_and_grads(params: EmbedNetParams, x: np.ndarray, label: int, mode
     net = fold_tdnn(params) if net is None else net
     post: list = []
     h = _folded_forward(net, x, post)
+    if not np.isfinite(h).all():
+        raise NumericsError("the TDNN stack's output is not finite")
+    h = h.astype(np.float64, copy=False)
     c: dict = {}
     _, logits = _pool_forward(params, h, mode, c)
     loss, dlogits = softmax_cross_entropy(logits, label)
@@ -465,32 +480,27 @@ def chunk_loss_and_grads(params: EmbedNetParams, x: np.ndarray, label: int, mode
                               grads, acts, "att", "att")
         dh = dh + dza @ att.weight
 
-    # TDNN stack. Layer i reads r of layer i - 1 through the folded weight
-    # W * tile(a) and bias b + W @ tile(c), so with dy the gradient of the
-    # unfolded norm output y = a * r + c, dL/dr = a * dy, and the unfolded
-    # weight's gradient is (dz' splice(r)) * tile(a) + outer(sum dz, tile(c)).
-    dy = dh
+    # TDNN stack, in the fold's dtype. Layer i reads r of layer i - 1 through
+    # the folded weight W * tile(a) and bias b + W @ tile(c), so with dy the
+    # gradient of the unfolded norm output y = a * r + c, dL/dr = a * dy, and
+    # W's gradient is (dz' splice(r)) * tile(a) + outer(sum dz, tile(c)).
+    dy = dh.astype(post[-1].dtype, copy=False)
     for i in reversed(range(len(params.tdnn))):
         layer, offsets = params.tdnn[i], params.tdnn[i].offsets
         x_in = x if i == 0 else post[i - 1]
-        spliced = x_in if len(offsets) == 1 else _splice(x_in, offsets)
-        dz = _block_backward(dy, spliced, post[i], layer.linear, layer.norm, grads, acts,
-                             f"tdnn{i}", f"tdnn{i}", net.norms[i][:2])
+        dz = _block_backward(dy, x_in, post[i], layer.linear, layer.norm, grads, acts,
+                             f"tdnn{i}", f"tdnn{i}", net.norms[i][:2], offsets)
         if i == 0:
             break  # the input frames need no gradient
         _, prev_scale, prev_shift = net.norms[i - 1]
         dw = grads[f"tdnn{i}.w"].reshape(dz.shape[1], len(offsets), -1)  # (out, tap, in)
         dw *= prev_scale
         dw += np.outer(grads[f"tdnn{i}.b"], prev_shift)[:, None, :]
-        dspliced = dz @ layer.linear.weight
-        if len(offsets) == 1:
-            dy = dspliced
-            continue
-        n_out, in_dim = dz.shape[0], x_in.shape[1]
+        n_out, width = dz.shape[0], x_in.shape[1]
         dy = np.zeros_like(x_in)
         for j, o in enumerate(offsets):
             shift = o - offsets[0]
-            dy[shift:shift + n_out] += dspliced[:, j * in_dim:(j + 1) * in_dim]
+            dy[shift:shift + n_out] += dz @ net.weights[i][:, j * width:(j + 1) * width]
 
     return loss, grads, acts
 

@@ -26,6 +26,7 @@ MOMENTUM = 0.9
 LR_DECAY = 0.5
 DECAY_EVERY = 10
 BN_MOMENTUM = 0.1
+WARM_MARGIN = 1e-3  # the warm start's smallest ReLU input, as a share of its range
 
 
 def _sample_chunk(frames: np.ndarray, chunk_len: int, rng: np.random.Generator):
@@ -37,7 +38,8 @@ def _sample_chunk(frames: np.ndarray, chunk_len: int, rng: np.random.Generator):
 
 def _add_moments(sums: dict, site: str, r: np.ndarray):
     """Add the row count, column sums and column sums of squares of r to
-    sums[site]."""
+    sums[site], summed in float64."""
+    r = r.astype(np.float64, copy=False)  # one cast: cheaper than two float64 reductions
     moments = (r.shape[0], r.sum(axis=0), np.einsum("ij,ij->j", r, r))
     sums[site] = [a + b for a, b in zip(sums[site], moments)] if site in sums else moments
 
@@ -75,7 +77,9 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig,
     labels: parallel list of speaker indices in [0, cfg.n_speakers);
     utt_ids: optional parallel list of names, used in error messages.
     """
-    frames = [np.asarray(u, dtype=np.float64) for u in utterances]
+    # The TDNN stack trains on float32 chunks (exact for frames read from
+    # AFS1) under float64 parameters, velocities and sums.
+    frames = [np.asarray(u, dtype=np.float32) for u in utterances]
     if not frames:
         raise EmptyInputError("empty training corpus")
     labels = [int(lb) for lb in labels]
@@ -105,19 +109,22 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig,
 
     # Warm start on a sample of chunks, one ReLU site at a time in forward
     # order: shift the site's bias so its smallest input over the sample sits
-    # at zero, then set its normalization buffers from the (now unclipped)
-    # activations. The initial net is then linear on the data, with
-    # unit-scale activations everywhere. At a zero bias a random ReLU stack
-    # clips about half of each unit's inputs and folds the speaker-plus-channel
-    # space along random hyperplanes; training moves the layers too little to
-    # undo the folds, so which unseen speakers get confused would depend on
-    # the init draw.
+    # WARM_MARGIN of the unit's range above zero (off the kink, where rounding
+    # would decide whether a window is active), then set its normalization
+    # buffers from the (now unclipped) activations. The initial net is then
+    # linear on the data, with unit-scale activations everywhere. At a zero
+    # bias a random ReLU stack clips about half of each unit's inputs and
+    # folds the speaker-plus-channel space along random hyperplanes; training
+    # moves the layers too little to undo the folds, so which unseen speakers
+    # get confused would depend on the init draw.
     warm_idx = rng.permutation(n_utts)[:min(n_utts, 4 * cfg.batch_size)]
     warm_chunks = [_sample_chunk(frames[i], cfg.chunk_len, rng) for i in warm_idx]
     for site, layer, _ in relu_sites(params):
         net = fold_tdnn(params)
         inputs = [relu_inputs(params, chunk, mode, net)[0][site] for chunk in warm_chunks]
         low = np.min([z.min(axis=0) for z in inputs], axis=0)
+        high = np.max([z.max(axis=0) for z in inputs], axis=0)
+        low -= WARM_MARGIN * (high - low)
         layer.bias -= low
         sums: dict = {}
         for z in inputs:
@@ -138,7 +145,7 @@ def train_embed_network(utterances, labels, cfg: EmbedNetConfig,
             batch = order[start:start + cfg.batch_size]
             grad_sum = _zeroed_block(items)
             sums = {}
-            net = fold_tdnn(params)  # after the last step's SGD and norm updates
+            net = fold_tdnn(params, np.float32)  # after the last step's updates
             for i in batch:
                 chunk = _sample_chunk(frames[i], cfg.chunk_len, rng)
                 try:

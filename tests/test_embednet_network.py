@@ -416,6 +416,26 @@ class TestGradients:
             np.testing.assert_allclose(acts[site], r, rtol=0,
                                        atol=1e-12 * np.abs(r).max(), err_msg=site)
 
+    @pytest.mark.parametrize("attentive,mode", [(True, "internal"), (False, "uniform")])
+    def test_float32_step_matches_float64_step(self, attentive, mode):
+        # a training step runs the TDNN stack in float32 under float64
+        # parameters; everything above the stack stays float64
+        rng = np.random.default_rng(62)
+        params = _random_default_net(rng, attentive)
+        x = rng.standard_normal((100, 6)).astype(np.float32)
+        if attentive:
+            params.attention.v[:] = rng.standard_normal(params.attention.v.shape) * 0.3
+        loss, grads, acts = chunk_loss_and_grads(params, x, 1, mode, fold_tdnn(params, np.float32))
+        want_loss, want, _ = chunk_loss_and_grads(params, x, 1, mode, fold_tdnn(params))
+        assert acts["tdnn0"].dtype == np.float32
+        assert loss == pytest.approx(want_loss, rel=1e-5)
+        assert set(grads) == set(want)
+        scale = max(np.abs(g).max() for g in want.values())
+        for name, g in want.items():
+            # att.k and att.beta are zero up to rounding (see above)
+            bound = scale if name in ("att.k", "att.beta") else np.abs(g).max()
+            assert np.abs(grads[name] - g).max() <= 1e-5 * bound, name
+
     def test_loss_is_positive_and_finite(self):
         rng = np.random.default_rng(52)
         params = _toy_params(rng)
@@ -594,6 +614,34 @@ class TestTrainingDeterminism:
         np.testing.assert_array_equal(forward_logits(utts[0], plain),
                                       forward_logits(utts[0], att))
 
+    @pytest.mark.parametrize("attentive", [True, False])
+    def test_warm_start_keeps_every_relu_input_off_the_kink(self, monkeypatch, attentive):
+        # each unit's smallest warm-sample input sits WARM_MARGIN of its
+        # range above zero, so rounding cannot decide whether it is active
+        utts, labels = self._tiny_corpus()
+        chunks = []
+        real_sample = train_module._sample_chunk
+
+        def spy_sample(frames, chunk_len, rng):
+            chunks.append(real_sample(frames, chunk_len, rng))
+            return chunks[-1]
+
+        monkeypatch.setattr(train_module, "_sample_chunk", spy_sample)
+        cfg = EmbedNetConfig(input_dim=3, n_speakers=3, hidden_dim=4,
+                             pool_dim=5, embed_dim=4, attention_dim=3,
+                             tdnn_offsets=((-1, 0, 1), (0,)), epochs=0,
+                             chunk_len=12, batch_size=2, attentive=attentive, seed=9)
+        params = train_embed_network(utts, labels, cfg)
+        assert len(chunks) == 8  # the warm sample: 4 batches' worth
+        mode = "internal" if attentive else "uniform"
+        inputs = [network.relu_inputs(params, chunk, mode)[0] for chunk in chunks]
+        assert set(inputs[0]) == {site for site, _, _ in network.relu_sites(params)}
+        for site in inputs[0]:
+            z = np.vstack([chunk_inputs[site] for chunk_inputs in inputs])
+            low, high = z.min(axis=0), z.max(axis=0)
+            assert np.all(high > low), site
+            assert np.all(low >= train_module.WARM_MARGIN * (high - low) * (1 - 1e-9)), site
+
     def test_one_fold_per_sgd_step(self, monkeypatch):
         utts, labels = self._tiny_corpus()  # 12 utterances: 3 batches of 4
         cfg = EmbedNetConfig(input_dim=3, n_speakers=3, hidden_dim=4,
@@ -604,8 +652,8 @@ class TestTrainingDeterminism:
         real_fold = train_module.fold_tdnn
         real_step = train_module.chunk_loss_and_grads
 
-        def spy_fold(params):
-            folds.append(real_fold(params))
+        def spy_fold(params, *dtype):
+            folds.append(real_fold(params, *dtype))
             return folds[-1]
 
         def spy_step(params, x, label, mode, net=None):

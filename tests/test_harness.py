@@ -714,6 +714,19 @@ def test_cli_refuses_a_bad_embednet_value(tmp_path, capsys):
     assert not (tmp_path / "run" / "corpus" / ".stamp.json").exists()
 
 
+@pytest.mark.parametrize("section,field,value", [("ubm", "n_iters", "x"),
+                                                  ("embednet", "hidden_dim", "64"),
+                                                  ("eval", "p_targets", 0.5)])
+def test_cli_refuses_a_config_value_of_the_wrong_type(tmp_path, capsys, section, field, value):
+    # Refused when the config is merged: each crashed synth with a TypeError
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"out: {tmp_path / 'run'}\n{section}: {{{field}: {value!r}}}\n")
+    assert main(["synth", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"deskspeaker: config key {section}.{field} takes type ")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("model", ["ubm", "tvm"])
 def test_cli_zero_em_iterations_save_the_initial_model(tmp_path, capsys, model):
     cfg = _tiny_config(tmp_path / "run")
