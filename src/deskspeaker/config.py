@@ -84,6 +84,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         self.systems = tuple(self.systems)
+        if not self.systems:
+            raise ValueError(f"systems must name one or more of {KNOWN_SYSTEMS}")
         for s in self.systems:
             if s not in KNOWN_SYSTEMS:
                 raise ValueError(f"unknown system {s!r}; choose from {KNOWN_SYSTEMS}")
@@ -133,8 +135,8 @@ def _merge(obj, tree: dict, path: str):
             kind = "a section" if is_dataclass(current) else f"type {type(current or '').__name__}"
             raise ValueError(f"config key {path}{key} takes {kind}, not {val!r}")
         else:
-            if isinstance(current, tuple) and isinstance(val, list):
-                val = tuple(val)
+            if isinstance(current, (tuple, float)):
+                val = type(current)(val)  # a list as a tuple, an int as a float
             setattr(obj, key, val)
     return obj
 

@@ -3,9 +3,10 @@
 Initialization is k-means++ followed by a few Lloyd iterations; EM then runs
 with per-dimension variance flooring at a small fraction of the global data
 variance. The per-iteration total log-likelihood is recorded on the returned
-model so monotonicity is checkable. Every training pass runs over fixed blocks
-of BLOCK_FRAMES frames in order, so no (frames x components) array is built;
-each block is worked component-major, as (components x block) arrays, so the
+model so monotonicity is checkable. Every pass over the frames runs over fixed
+blocks of BLOCK_FRAMES frames in order, so no (frames x components) array is
+built. One E-step, _estep, serves training, gmm_posteriors and gmm_loglik: it
+works each block component-major, as (components x block) arrays, so the
 reductions over the components are passes over contiguous rows.
 """
 
@@ -47,44 +48,47 @@ class DiagGmm:
         return cls(*read_gmm(path))
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) in SciPy's form: the row maxima (all of them,
-    when tied) are split out and the other terms enter through log1p."""
-    top = a.max(axis=1, keepdims=True)
-    tied = a == top
-    count = tied.sum(axis=1, keepdims=True, dtype=np.float64)
-    rest = np.exp(np.where(tied, -np.inf, a) - top).sum(axis=1, keepdims=True)
-    return (np.log1p(rest / count) + np.log(count) + top)[:, 0]
-
-
 def _density_terms(gmm: DiagGmm):
     """The per-model terms of log w_c N(x; mu_c, diag(var_c)) =
-    quad_c . x**2 + lin_c . x + const_c + log w_c."""
+    quad_c . x**2 + lin_c . x + offset_c; offset is a (C, 1) column."""
     inv = 1.0 / gmm.variances
     const = -0.5 * (gmm.dim * _LOG_2PI + np.log(gmm.variances).sum(axis=1)
                     + (gmm.means ** 2 * inv).sum(axis=1))
-    return -0.5 * inv, gmm.means * inv, const, np.log(gmm.weights)
+    return -0.5 * inv, gmm.means * inv, (const + np.log(gmm.weights))[:, None]
 
 
-def _log_joint(frames: np.ndarray, gmm: DiagGmm) -> np.ndarray:
-    """Per-frame, per-component log w_c N(x; mu_c, diag(var_c)). Shape (N, C)."""
-    quad, lin, const, log_w = _density_terms(gmm)
-    return frames ** 2 @ quad.T + frames @ lin.T + const + log_w
+def _estep(block: np.ndarray, squares: np.ndarray, terms) -> tuple[np.ndarray, float]:
+    """The E-step of an (n, D) block of frames, given its squares and the
+    model's _density_terms: the (C, n) component posteriors and the block's
+    total log-likelihood. The log-joint is turned into the posteriors in place."""
+    quad, lin, offset = terms
+    post = quad @ squares.T + lin @ block.T + offset
+    top = post.max(axis=0)
+    post -= top
+    np.exp(post, out=post)
+    total = post.sum(axis=0)
+    post /= total
+    return post, (np.log(total) + top).sum()
 
 
 def gmm_posteriors(frames: np.ndarray, gmm: DiagGmm) -> np.ndarray:
-    """Component posteriors p(c | x_t). Accepts one frame (D,) or a batch (N, D)."""
+    """Component posteriors p(c | x_t). Accepts one frame (D,) or a batch
+    (N, D); a batch gives an (N, C) view of a (C, N) array."""
     frames = np.asarray(frames, dtype=np.float64)
-    single = frames.ndim == 1
-    lj = _log_joint(np.atleast_2d(frames), gmm)
-    post = np.exp(lj - _logsumexp(lj)[:, None])
-    return post[0] if single else post
+    batch = np.atleast_2d(frames)
+    terms = _density_terms(gmm)
+    post = np.empty((gmm.n_components, batch.shape[0]))
+    for s in _blocks(batch.shape[0]):
+        post[:, s] = _estep(batch[s], batch[s] ** 2, terms)[0]
+    return post[:, 0] if frames.ndim == 1 else post.T
 
 
 def gmm_loglik(frames: np.ndarray, gmm: DiagGmm) -> float:
     """Total log-likelihood of a frame batch under the mixture."""
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    return float(_logsumexp(_log_joint(frames, gmm)).sum())
+    terms = _density_terms(gmm)
+    return float(sum(_estep(frames[s], frames[s] ** 2, terms)[1]
+                     for s in _blocks(frames.shape[0])))
 
 
 def _blocks(n: int) -> list[slice]:
@@ -175,19 +179,12 @@ def train_gmm(frames: np.ndarray, n_components: int, n_iters: int,
     for _ in range(n_iters):
         loglik, counts = 0.0, np.zeros(n_components)
         first, second = np.zeros((2, n_components, dim))
-        quad, lin, const, log_w = _density_terms(gmm)
-        offset = (const + log_w)[:, None]
+        terms = _density_terms(gmm)
         for s in _blocks(n):  # E-step sums, in a fixed block order
             block = frames[s]
             squares = block ** 2
-            # (C, block) log-joint, turned into the posteriors in place
-            post = quad @ squares.T + lin @ block.T + offset
-            top = post.max(axis=0)
-            post -= top
-            np.exp(post, out=post)
-            total = post.sum(axis=0)
-            loglik += (np.log(total) + top).sum()
-            post /= total
+            post, block_loglik = _estep(block, squares, terms)
+            loglik += block_loglik
             counts += post.sum(axis=1)
             first += post @ block
             second += post @ squares

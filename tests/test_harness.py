@@ -5,6 +5,7 @@ utterances, 2 training epochs) so the whole pipeline finishes in seconds.
 """
 
 import argparse
+import ast
 import copy
 import dataclasses
 import functools
@@ -518,6 +519,13 @@ def test_default_fingerprints_are_pinned():
     }
 
 
+def test_an_int_given_for_a_float_field_is_stored_as_a_float():
+    # json.dumps hashes 3 and 3.0 apart, so a kept int would restamp every stage
+    cfg = default_config(synth={"speaker_spread": 3})
+    assert type(cfg.synth.speaker_spread) is float
+    assert harness._stage_fingerprints(cfg) == harness._stage_fingerprints(default_config())
+
+
 @pytest.mark.parametrize("text", [
     b"",
     b"S1.novad.eer=0.25\n",
@@ -685,6 +693,11 @@ def test_run_pipeline_validates_a_config_changed_after_it_was_built(tmp_path):
     with pytest.raises(ValueError, match="soft_vad"):
         run_pipeline(cfg)
     assert not (tmp_path / "run").exists()
+    cfg = _tiny_config(tmp_path / "run")
+    cfg.systems = ()  # what `--systems ","` leaves
+    with pytest.raises(ValueError, match="systems"):
+        run_pipeline(cfg)
+    assert not (tmp_path / "run").exists()
     for section, name, value in (
             ("embednet", "hidden_dim", 0), ("embednet", "pool_dim", 0),
             ("embednet", "embed_dim", 0), ("embednet", "attention_dim", 0),
@@ -849,6 +862,23 @@ def test_cli_rejects_malformed_yaml(tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("deskspeaker: ")
     assert "bad.yaml" in captured.err
+
+
+def test_no_source_file_imports_scipy():
+    # Every import statement, function-level ones included, which importing
+    # the package (the test below) does not run.
+    found = []
+    for path in sorted(Path(harness.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_package_imports_without_scipy():
