@@ -2,8 +2,7 @@
 and frame-weighted i-vectors, compared end to end on synthetic corpora."""
 
 from .backend import (PldaModel, Preprocessor, apply_preprocess,
-                      fit_preprocessor, plda_score, plda_score_matrix,
-                      train_plda)
+                      fit_preprocessor, plda_score_matrix, train_plda)
 from .config import PipelineConfig, default_config, load_config, save_config
 from .errors import (DegenerateScoreSetError, DegenerateWeightsError,
                      DeskSpeakerError, EmptyInputError, FormatError,
@@ -16,7 +15,7 @@ from .ivector import (SufficientStats, TotalVariabilityModel,
 from .metrics import (TrialScoreSet, compute_eer, compute_min_cprimary,
                       weight_posterior_correlation)
 from .synth import SynthCorpus, SynthCorpusConfig, generate_corpus
-from .ubm import DiagGmm, gmm_loglik, gmm_posteriors, train_gmm
+from .ubm import DiagGmm, gmm_posteriors, train_gmm
 
 __version__ = "0.1.0"
 
@@ -25,10 +24,10 @@ __all__ = [
     "run_pipeline", "Report", "SystemResult", "load_report",
     "expand_frame_weights", "SynthCorpus",
     "SynthCorpusConfig", "generate_corpus", "DiagGmm", "train_gmm",
-    "gmm_posteriors", "gmm_loglik", "SufficientStats",
+    "gmm_posteriors", "SufficientStats",
     "TotalVariabilityModel", "accumulate_stats", "extract_ivector",
     "train_tvm", "Preprocessor", "fit_preprocessor", "apply_preprocess",
-    "PldaModel", "train_plda", "plda_score", "plda_score_matrix",
+    "PldaModel", "train_plda", "plda_score_matrix",
     "TrialScoreSet", "compute_eer", "compute_min_cprimary",
     "weight_posterior_correlation", "DeskSpeakerError", "EmptyInputError",
     "TooShortUtteranceError", "DegenerateWeightsError",

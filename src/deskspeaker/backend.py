@@ -57,15 +57,12 @@ def fit_preprocessor(vectors: np.ndarray) -> Preprocessor:
 
 
 def apply_preprocess(vectors: np.ndarray, prep: Preprocessor) -> np.ndarray:
-    """Whiten and project to the unit sphere. Accepts (E,) or (N, E)."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    single = vectors.ndim == 1
-    x = (np.atleast_2d(vectors) - prep.mean) @ prep.whitener.T
+    """Whiten (N, E) vectors and project them to the unit sphere."""
+    x = (np.asarray(vectors, dtype=np.float64) - prep.mean) @ prep.whitener.T
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms < 1e-12):
         raise NumericsError("cannot length-normalize a zero vector")
-    x = x / norms[:, None]
-    return x[0] if single else x
+    return x / norms[:, None]
 
 
 @dataclass
@@ -176,15 +173,11 @@ def _scoring_terms(plda: PldaModel):
 
 
 def plda_score_matrix(enroll: np.ndarray, test: np.ndarray, plda: PldaModel) -> np.ndarray:
-    """Log-likelihood-ratio scores for every enroll x test pair."""
-    enroll = np.atleast_2d(np.asarray(enroll, dtype=np.float64)) - plda.mean
-    test = np.atleast_2d(np.asarray(test, dtype=np.float64)) - plda.mean
+    """Log-likelihood-ratio scores for every pair of (N, E) enroll and
+    (M, E) test vectors: an (N, M) matrix."""
+    enroll = np.asarray(enroll, dtype=np.float64) - plda.mean
+    test = np.asarray(test, dtype=np.float64) - plda.mean
     quad, cross, const = _scoring_terms(plda)
     qe = (enroll @ quad * enroll).sum(axis=1)
     qt = (test @ quad * test).sum(axis=1)
     return -0.5 * qe[:, None] - 0.5 * qt[None, :] - enroll @ cross @ test.T + const
-
-
-def plda_score(enroll_vec: np.ndarray, test_vec: np.ndarray, plda: PldaModel) -> float:
-    """Symmetric two-sided LLR for one trial."""
-    return float(plda_score_matrix(enroll_vec, test_vec, plda)[0, 0])

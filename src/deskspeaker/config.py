@@ -86,15 +86,19 @@ class PipelineConfig:
         self.systems = tuple(self.systems)
         if not self.systems:
             raise ValueError(f"systems must name one or more of {KNOWN_SYSTEMS}")
-        for s in self.systems:
+        for i, s in enumerate(self.systems):
             if s not in KNOWN_SYSTEMS:
                 raise ValueError(f"unknown system {s!r}; choose from {KNOWN_SYSTEMS}")
+            if s in self.systems[:i]:
+                raise ValueError(f"system {s!r} is listed more than once")
         if self.soft_vad not in ("on", "off", "both"):
             raise ValueError("soft_vad must be 'on', 'off', or 'both'")
 
     @property
-    def vad_variants(self) -> tuple[bool, ...]:
-        return {"off": (False,), "on": (True,), "both": (False, True)}[self.soft_vad]
+    def variants(self) -> list[tuple[str, bool]]:
+        """The (system, soft VAD on) pairs a run works, in order."""
+        vads = {"off": (False,), "on": (True,), "both": (False, True)}[self.soft_vad]
+        return [(s, vad) for s in self.systems for vad in vads]
 
 
 def default_config(**overrides) -> PipelineConfig:

@@ -2,11 +2,10 @@
 
 from .network import (DEFAULT_TDNN_OFFSETS, EmbedNetConfig, EmbedNetParams,
                       FoldedTdnn, Linear, TdnnLayer, chunk_loss,
-                      chunk_loss_and_grads, embed_hidden,
-                      export_attention_weights, extract_embedding,
-                      fold_tdnn, forward_logits, hidden_attention_weights,
-                      init_embed_net, kink_margin, load_embed_net,
-                      save_embed_net, softmax_cross_entropy, tdnn_forward)
+                      chunk_loss_and_grads, embed_hidden, fold_tdnn,
+                      hidden_attention_weights, init_embed_net, kink_margin,
+                      load_embed_net, save_embed_net, softmax_cross_entropy,
+                      tdnn_forward)
 from .ops import (AttentionParams, BatchNorm, PooledStats, attention_scores,
                   attention_weights, combine_weights, pool_stats,
                   pool_weighted_stats)
@@ -17,8 +16,7 @@ __all__ = [
     "Linear", "TdnnLayer", "AttentionParams", "BatchNorm", "PooledStats",
     "attention_scores", "attention_weights", "combine_weights", "pool_stats",
     "pool_weighted_stats", "fold_tdnn", "tdnn_forward", "embed_hidden",
-    "hidden_attention_weights", "extract_embedding",
-    "export_attention_weights", "forward_logits", "train_embed_network",
-    "init_embed_net", "save_embed_net", "load_embed_net", "chunk_loss",
-    "chunk_loss_and_grads", "softmax_cross_entropy", "kink_margin",
+    "hidden_attention_weights", "train_embed_network", "init_embed_net",
+    "save_embed_net", "load_embed_net", "chunk_loss", "chunk_loss_and_grads",
+    "softmax_cross_entropy", "kink_margin",
 ]

@@ -12,6 +12,10 @@ The TDNN stack runs folded (fold_tdnn), in training and extraction alike:
 each norm is an affine map with fixed constants, so it moves into the next
 layer's weights and bias. Training folds once per SGD step; the backward
 still returns the gradients of the unfolded parameters.
+
+Extraction runs tdnn_forward, hidden_attention_weights and embed_hidden on
+weight arrays its caller resolved; "uniform" and "internal" name the
+poolings of the training modes only.
 """
 
 from __future__ import annotations
@@ -224,34 +228,26 @@ def _folded_forward(net: FoldedTdnn, x: np.ndarray, post: list | None = None,
     return h
 
 
-def _attend(h: np.ndarray, params: EmbedNetParams, cache: dict | None = None):
-    if params.attention is None:
-        raise MissingAttentionError("network has no attention layer")
-    return attention_weights(attention_scores(h, params.attention, cache))
-
-
-def _pool_weights(params: EmbedNetParams, h: np.ndarray, weights, cache: dict | None = None):
-    """Resolve a weight source: "uniform", "internal" (the network's own
-    attention) or explicit weights over the rows of h, passed through."""
-    if not isinstance(weights, str):
-        return weights
-    if weights == "uniform":
+def _pool_weights(params: EmbedNetParams, h: np.ndarray, mode: str, cache: dict | None = None):
+    """The pooling weights of a training mode over the rows of h: "uniform",
+    or "internal" (the network's own attention)."""
+    if mode == "uniform":
         return np.full(h.shape[0], 1.0 / h.shape[0])
-    if weights == "internal":
-        return _attend(h, params, cache)
-    raise FormatError(f"unknown weight source {weights!r}")
+    if mode == "internal":
+        return hidden_attention_weights(h, params, cache)
+    raise FormatError(f"unknown training mode {mode!r}")
 
 
-def _pool_forward(params: EmbedNetParams, h: np.ndarray, weights, cache: dict | None = None):
-    """Everything above the TDNN stack: pool the hidden sequence h, then run
-    the segment layers. Returns (embedding, logits).
+def _pool_forward(params: EmbedNetParams, h: np.ndarray, mode: str, cache: dict | None = None):
+    """Everything above the TDNN stack: pool the hidden sequence h with the
+    weights of a training mode (see _pool_weights), then run the segment
+    layers. Returns (embedding, logits).
 
-    weights: as for _pool_weights, one vector. cache, when given, receives
-    the pooling weights (alpha), the attention head's and the pooling's
-    intermediates, and each segment layer's arrays as one-row matrices:
-    s (pooled statistics), emb/r1/y1 and z2/r2/y2.
+    cache, when given, receives the pooling weights (alpha), the attention
+    head's and the pooling's intermediates, and each segment layer's arrays
+    as one-row matrices: s (pooled statistics), emb/r1/y1 and z2/r2/y2.
     """
-    weights = _pool_weights(params, h, weights, cache)
+    weights = _pool_weights(params, h, mode, cache)
     s = pool_weighted_stats(h, weights, cache).concat()[None, :]
     emb, r1, y1 = _block_forward(s, params.seg1, params.norm1)
     z2, r2, y2 = _block_forward(y1, params.seg2, params.norm2)
@@ -271,41 +267,27 @@ def tdnn_forward(frames, params: EmbedNetParams | FoldedTdnn) -> np.ndarray:
     return _folded_forward(net, np.asarray(frames, dtype=np.float64))
 
 
-def hidden_attention_weights(h: np.ndarray, params: EmbedNetParams) -> np.ndarray:
-    """The network's attention weights over a hidden sequence from tdnn_forward."""
-    return _attend(h, params)
+def hidden_attention_weights(h: np.ndarray, params: EmbedNetParams,
+                             cache: dict | None = None) -> np.ndarray:
+    """The network's attention weights over a hidden sequence from
+    tdnn_forward. cache, when given, receives the head's intermediates (see
+    attention_scores)."""
+    if params.attention is None:
+        raise MissingAttentionError("network has no attention layer")
+    return attention_weights(attention_scores(h, params.attention, cache))
 
 
-def embed_hidden(h: np.ndarray, params: EmbedNetParams, weights="uniform") -> np.ndarray:
+def embed_hidden(h: np.ndarray, params: EmbedNetParams, weights: np.ndarray) -> np.ndarray:
     """Segment embedding of a hidden sequence from tdnn_forward: pool it with
-    the requested weights, then apply the first segment layer (and no layer
+    the given weights, then apply the first segment layer (and no layer
     after it).
 
-    weights: "uniform", "internal" (the network's own attention), or an
-    explicit per-frame weight vector over the valid frames; a (k, L) matrix
-    of k weight rows gives the (k, embed_dim) embeddings of one pooling call,
-    each equal to its one-row call.
+    weights: one per-frame weight vector over the valid frames, or a (k, L)
+    matrix of k weight rows, which gives the (k, embed_dim) embeddings of
+    one pooling call, each equal to its one-row call.
     """
-    s = pool_weighted_stats(h, _pool_weights(params, h, weights)).concat()
+    s = pool_weighted_stats(h, weights).concat()
     return _row_products(s, params.seg1.weight.T) + params.seg1.bias
-
-
-def extract_embedding(frames, params: EmbedNetParams, weights="uniform") -> np.ndarray:
-    """Segment embedding of an utterance; weights as for embed_hidden."""
-    return embed_hidden(tdnn_forward(frames, params), params, weights)
-
-
-def export_attention_weights(frames, params: EmbedNetParams) -> np.ndarray:
-    """The network's attention weights over the valid frames of an utterance."""
-    return hidden_attention_weights(tdnn_forward(frames, params), params)
-
-
-def forward_logits(frames, params: EmbedNetParams, weights=None) -> np.ndarray:
-    """Inference-mode logits, through the training forward, so they equal the
-    loss's logits exactly; defaults to the network's natural pooling."""
-    if weights is None:
-        weights = "internal" if params.attention is not None else "uniform"
-    return _pool_forward(params, tdnn_forward(frames, params), weights)[1]
 
 
 # ---------------------------------------------------------------------------

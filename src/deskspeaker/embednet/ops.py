@@ -12,7 +12,7 @@ code path, so the two agree exactly rather than to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,11 +52,7 @@ class AttentionParams:
     bias: np.ndarray    # (d_a,)
     v: np.ndarray       # (d_a,)
     k: float
-    norm: BatchNorm = field(default=None)  # over the d_a hidden units
-
-    def __post_init__(self):
-        if self.norm is None:
-            self.norm = BatchNorm.identity(self.v.shape[0])
+    norm: BatchNorm     # over the d_a hidden units
 
 
 @dataclass

@@ -319,9 +319,8 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
     if export_weights:
         weights_dir.mkdir(exist_ok=True)
 
-    variants = [(s, vad) for s in cfg.systems for vad in cfg.vad_variants]
     collected = {variant_name(s, v): {p: ([], []) for p in PARTITIONS}
-                 for s, v in variants}
+                 for s, v in cfg.variants}
     qdir = _stage_dir(out, "features") / "q"
 
     for utt, _, part in rows:
@@ -346,7 +345,7 @@ def _stage_extract(cfg: PipelineConfig, out: Path, echo):
 
         pooled = {kind: ([], []) for kind in nets}  # variant names, weight rows
         ivector_names, ivector_stats = [], []
-        for system, vad in variants:
+        for system, vad in cfg.variants:
             spec = SYSTEMS[system]
             name = variant_name(system, vad)
             if spec.kind == "embed":
@@ -402,18 +401,24 @@ def _vad_weights(weights: np.ndarray, q: np.ndarray, utt: str) -> np.ndarray:
         raise DegenerateWeightsError(f"utterance {utt}: {exc}") from exc
 
 
-def _variant_names(cfg: PipelineConfig):
-    return [variant_name(s, v) for s in cfg.systems for v in cfg.vad_variants]
+def _read_vectors(vdir: Path, part: str, rows):
+    """read_vector_set of one partition of a variant; FormatError naming its
+    .ids file unless its ids are the manifest's utterances of that partition."""
+    ids, vecs = fileio.read_vector_set(vdir / part)
+    if sorted(ids) != sorted(u for u, _, p in rows if p == part):
+        raise FormatError(f"{vdir / part}.ids: ids differ from the manifest's "
+                          f"{part} utterances")
+    return ids, vecs
 
 
 def _stage_backend(cfg: PipelineConfig, out: Path, echo):
     """Fit the preprocessor and scoring backend per variant."""
-    spk_of = {utt: spk for utt, spk, _ in _rows(out)}
+    rows = _rows(out)
+    spk_of = {utt: spk for utt, spk, _ in rows}
     d = _stage_dir(out, "backend")
-    for variant in _variant_names(cfg):
-        system = variant.split("-")[0]
-        ids, vecs = fileio.read_vector_set(
-            _stage_dir(out, "extract") / variant / "train")
+    for system, vad in cfg.variants:
+        variant = variant_name(system, vad)
+        ids, vecs = _read_vectors(_stage_dir(out, "extract") / variant, "train", rows)
         prep = fit_preprocessor(vecs)
         proc = apply_preprocess(vecs, prep)
         dim = (cfg.backend.plda_dim_embed if SYSTEMS[system].kind == "embed"
@@ -424,8 +429,7 @@ def _stage_backend(cfg: PipelineConfig, out: Path, echo):
         prep.save(d / f"{variant}.pre1")
         plda.save(d / f"{variant}.pld1")
     if echo:
-        echo(f"  fitted preprocessor + backend for "
-             f"{len(_variant_names(cfg))} variants")
+        echo(f"  fitted preprocessor + backend for {len(cfg.variants)} variants")
 
 
 def _build_trials(rows):
@@ -436,13 +440,15 @@ def _build_trials(rows):
 
 def _stage_score(cfg: PipelineConfig, out: Path, echo):
     """Score all enroll/test trials."""
-    trials = _build_trials(_rows(out))
+    rows = _rows(out)
+    trials = _build_trials(rows)
     d = _stage_dir(out, "score")
     fileio.write_trial_list(d / "trials.txt", trials)
-    for variant in _variant_names(cfg):
+    for system, vad in cfg.variants:
+        variant = variant_name(system, vad)
         vdir = _stage_dir(out, "extract") / variant
-        e_ids, e_vecs = fileio.read_vector_set(vdir / "enroll")
-        t_ids, t_vecs = fileio.read_vector_set(vdir / "test")
+        e_ids, e_vecs = _read_vectors(vdir, "enroll", rows)
+        t_ids, t_vecs = _read_vectors(vdir, "test", rows)
         prep = Preprocessor.load(_stage_dir(out, "backend") / f"{variant}.pre1")
         plda = PldaModel.load(_stage_dir(out, "backend") / f"{variant}.pld1")
         scores = plda_score_matrix(apply_preprocess(e_vecs, prep),
@@ -490,17 +496,16 @@ def _stage_report(cfg: PipelineConfig, out: Path, echo):
     trials = fileio.read_trial_list(sdir / "trials.txt")
     targets = np.array([is_target for _, _, is_target in trials])
     results = []
-    for system in cfg.systems:
-        for vad in cfg.vad_variants:
-            path = sdir / f"{variant_name(system, vad)}.txt"
-            scored = fileio.read_scores(path)
-            if len(scored) != len(trials) or any(
-                    s[:2] != t[:2] for s, t in zip(scored, trials)):
-                raise FormatError(f"{path}: (enroll, test) pairs differ from trials.txt")
-            tset = TrialScoreSet(np.array([s for _, _, s in scored]), targets)
-            results.append(SystemResult(
-                system, vad, compute_eer(tset),
-                compute_min_cprimary(tset, cfg.eval.p_targets)))
+    for system, vad in cfg.variants:
+        path = sdir / f"{variant_name(system, vad)}.txt"
+        scored = fileio.read_scores(path)
+        if len(scored) != len(trials) or any(
+                s[:2] != t[:2] for s, t in zip(scored, trials)):
+            raise FormatError(f"{path}: (enroll, test) pairs differ from trials.txt")
+        tset = TrialScoreSet(np.array([s for _, _, s in scored]), targets)
+        results.append(SystemResult(
+            system, vad, compute_eer(tset),
+            compute_min_cprimary(tset, cfg.eval.p_targets)))
     report = Report(results)
     (d / "report.txt").write_text(report.to_text())
     with open(d / "report.kv", "w") as f:
@@ -632,5 +637,4 @@ def run_pipeline(cfg: PipelineConfig, stages=None, echo=None) -> Report | None:
         stage.run(cfg, out, echo)
         _write_stamp(out, stage.name, fps)
         say(f"[{stage.name}] done in {time.monotonic() - t0:.1f}s")
-    variants = [(s, v) for s in cfg.systems for v in cfg.vad_variants]
-    return load_report(out, variants) if PIPELINE[-1] in selected else None
+    return load_report(out, cfg.variants) if PIPELINE[-1] in selected else None

@@ -5,8 +5,8 @@ with per-dimension variance flooring at a small fraction of the global data
 variance. The per-iteration total log-likelihood is recorded on the returned
 model so monotonicity is checkable. Every pass over the frames runs over fixed
 blocks of BLOCK_FRAMES frames in order, so no (frames x components) array is
-built. One E-step, _estep, serves training, gmm_posteriors and gmm_loglik: it
-works each block component-major, as (components x block) arrays, so the
+built. One E-step, _estep, serves training and gmm_posteriors: it works
+each block component-major, as (components x block) arrays, so the
 reductions over the components are passes over contiguous rows.
 """
 
@@ -72,23 +72,14 @@ def _estep(block: np.ndarray, squares: np.ndarray, terms) -> tuple[np.ndarray, f
 
 
 def gmm_posteriors(frames: np.ndarray, gmm: DiagGmm) -> np.ndarray:
-    """Component posteriors p(c | x_t). Accepts one frame (D,) or a batch
-    (N, D); a batch gives an (N, C) view of a (C, N) array."""
+    """Component posteriors p(c | x_t) of (N, D) frames: an (N, C) view of a
+    (C, N) array."""
     frames = np.asarray(frames, dtype=np.float64)
-    batch = np.atleast_2d(frames)
     terms = _density_terms(gmm)
-    post = np.empty((gmm.n_components, batch.shape[0]))
-    for s in _blocks(batch.shape[0]):
-        post[:, s] = _estep(batch[s], batch[s] ** 2, terms)[0]
-    return post[:, 0] if frames.ndim == 1 else post.T
-
-
-def gmm_loglik(frames: np.ndarray, gmm: DiagGmm) -> float:
-    """Total log-likelihood of a frame batch under the mixture."""
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    terms = _density_terms(gmm)
-    return float(sum(_estep(frames[s], frames[s] ** 2, terms)[1]
-                     for s in _blocks(frames.shape[0])))
+    post = np.empty((gmm.n_components, frames.shape[0]))
+    for s in _blocks(frames.shape[0]):
+        post[:, s] = _estep(frames[s], frames[s] ** 2, terms)[0]
+    return post.T
 
 
 def _blocks(n: int) -> list[slice]:

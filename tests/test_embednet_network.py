@@ -13,12 +13,11 @@ from deskspeaker.embednet import train as train_module
 from deskspeaker.embednet import (DEFAULT_TDNN_OFFSETS, EmbedNetConfig,
                                   attention_scores, attention_weights,
                                   chunk_loss, chunk_loss_and_grads,
-                                  embed_hidden, export_attention_weights,
-                                  extract_embedding, fold_tdnn,
-                                  forward_logits, init_embed_net, kink_margin,
-                                  load_embed_net, pool_weighted_stats,
-                                  save_embed_net, tdnn_forward,
-                                  train_embed_network)
+                                  embed_hidden, fold_tdnn,
+                                  hidden_attention_weights, init_embed_net,
+                                  kink_margin, load_embed_net,
+                                  pool_weighted_stats, save_embed_net,
+                                  tdnn_forward, train_embed_network)
 from deskspeaker.errors import (FormatError, MissingAttentionError,
                                 NumericsError, TooShortUtteranceError)
 
@@ -218,26 +217,18 @@ class TestEmbeddingRoutes:
         h = _tdnn_oracle(x, params)
         stats = pool_weighted_stats(h, np.full(h.shape[0], 1.0 / h.shape[0]))
         expected = params.seg1.weight @ stats.concat() + params.seg1.bias
-        np.testing.assert_allclose(extract_embedding(x, params, "uniform"),
-                                   expected, atol=1e-12)
-
-    def test_internal_equals_explicit_alpha(self):
-        rng = np.random.default_rng(46)
-        params = _toy_params(rng)
-        x = rng.standard_normal((13, 3))
-        alpha = export_attention_weights(x, params)
-        np.testing.assert_allclose(extract_embedding(x, params, "internal"),
-                                   extract_embedding(x, params, alpha),
-                                   atol=1e-14)
+        h = tdnn_forward(x, params)
+        np.testing.assert_allclose(
+            embed_hidden(h, params, np.full(h.shape[0], 1.0 / h.shape[0])),
+            expected, atol=1e-12)
 
     def test_exported_weights_are_softmax_of_scores(self):
         rng = np.random.default_rng(47)
         params = _toy_params(rng)
-        x = rng.standard_normal((11, 3))
-        alpha = export_attention_weights(x, params)
+        h = tdnn_forward(rng.standard_normal((11, 3)), params)
+        alpha = hidden_attention_weights(h, params)
         assert alpha.shape == (7,)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
-        h = tdnn_forward(x, params)
         np.testing.assert_allclose(
             alpha, attention_weights(attention_scores(h, params.attention)),
             atol=1e-14)
@@ -256,41 +247,25 @@ class TestEmbeddingRoutes:
         # seg2 and the output layer feed only the training loss
         rng = np.random.default_rng(50)
         params = _toy_params(rng)
-        x = rng.standard_normal((14, 3))
-        want = extract_embedding(x, params, "internal")
+        h = tdnn_forward(rng.standard_normal((14, 3)), params)
+        alpha = hidden_attention_weights(h, params)
+        want = embed_hidden(h, params, alpha)
         params.seg2.weight[:] = np.nan
         params.out.weight[:] = np.nan
-        np.testing.assert_array_equal(extract_embedding(x, params, "internal"), want)
+        np.testing.assert_array_equal(embed_hidden(h, params, alpha), want)
         # NaN weights only reach logits that are thrown away; without the
         # layers at all, a pass through them would fail
         cut = dataclasses.replace(params, seg2=None, norm2=None, out=None)
-        h = tdnn_forward(x, cut)
-        for weights in ("uniform", "internal", np.full(h.shape[0], 1.0 / h.shape[0])):
+        for weights in (alpha, np.full(h.shape[0], 1.0 / h.shape[0])):
             emb = embed_hidden(h, cut, weights)
             assert emb.shape == (4,) and np.isfinite(emb).all()
-        np.testing.assert_array_equal(embed_hidden(h, cut, "internal"), want)
+        np.testing.assert_array_equal(embed_hidden(h, cut, alpha), want)
 
     def test_plain_network_has_no_weights_to_export(self):
         rng = np.random.default_rng(48)
         params = _toy_params(rng, attentive=False)
         with pytest.raises(MissingAttentionError):
-            export_attention_weights(np.zeros((10, 3)), params)
-
-    def test_internal_mode_needs_attention(self):
-        rng = np.random.default_rng(49)
-        params = _toy_params(rng, attentive=False)
-        with pytest.raises(MissingAttentionError):
-            extract_embedding(np.zeros((10, 3)), params, "internal")
-
-    def test_forward_logits_shape_and_default_mode(self):
-        rng = np.random.default_rng(50)
-        x = rng.standard_normal((12, 3))
-        att = _toy_params(rng, n_speakers=4)
-        logits = forward_logits(x, att)
-        assert logits.shape == (4,)
-        # attentive network defaults to its own attention
-        np.testing.assert_allclose(logits, forward_logits(x, att, "internal"),
-                                   atol=1e-14)
+            hidden_attention_weights(tdnn_forward(np.zeros((10, 3)), params), params)
 
 
 class TestGradients:
@@ -370,16 +345,16 @@ class TestGradients:
 
     @pytest.mark.parametrize("mode", ["internal", "uniform"])
     def test_training_forward_equals_inference_forward(self, mode):
-        # one pooling forward serves training, the kink check and forward_logits
+        # one pooling forward serves training, the loss-only forward and the
+        # kink check
         rng = np.random.default_rng(59)
         params = _toy_params(rng)
         x = rng.standard_normal((11, 3))
         loss, _, _ = chunk_loss_and_grads(params, x, 2, mode)
-        want, _ = network.softmax_cross_entropy(forward_logits(x, params, mode), 2)
-        assert loss == want == chunk_loss(params, x, 2, mode)
+        assert loss == chunk_loss(params, x, 2, mode)
         _, radicand = kink_margin(params, x, mode)
         h = tdnn_forward(x, params)
-        alpha = (export_attention_weights(x, params) if mode == "internal"
+        alpha = (hidden_attention_weights(h, params) if mode == "internal"
                  else np.full(h.shape[0], 1.0 / h.shape[0]))
         stats = pool_weighted_stats(h, alpha)
         assert radicand == pytest.approx(float((stats.std ** 2).min()), abs=1e-12)
@@ -466,10 +441,14 @@ class TestSaveLoad:
         rng = np.random.default_rng(54)
         params = _toy_params(rng)
         x = rng.standard_normal((12, 3))
-        before = extract_embedding(x, params, "internal")
+
+        def embed(net):
+            h = tdnn_forward(x, net)
+            return embed_hidden(h, net, hidden_attention_weights(h, net))
+
+        before = embed(params)
         save_embed_net(tmp_path / "net.emb1", params)
-        loaded = load_embed_net(tmp_path / "net.emb1")
-        after = extract_embedding(x, loaded, "internal")
+        after = embed(load_embed_net(tmp_path / "net.emb1"))
         np.testing.assert_allclose(after, before, rtol=1e-4, atol=1e-5)
 
     def test_plain_network_round_trip(self, tmp_path):
@@ -597,7 +576,7 @@ class TestTrainingDeterminism:
         att = train_embed_network(utts, labels,
                                   EmbedNetConfig(attentive=True, **kw))
         np.testing.assert_array_equal(att.attention.v, 0.0)
-        alpha = export_attention_weights(utts[0], att)
+        alpha = hidden_attention_weights(tdnn_forward(utts[0], att), att)
         np.testing.assert_array_equal(alpha, np.full(alpha.size, 1.0 / alpha.size))
 
         def shared(params):
@@ -611,8 +590,8 @@ class TestTrainingDeterminism:
 
         for a, b in zip(shared(plain), shared(att), strict=True):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(forward_logits(utts[0], plain),
-                                      forward_logits(utts[0], att))
+        assert (chunk_loss(plain, utts[0], labels[0], "uniform")
+                == chunk_loss(att, utts[0], labels[0], "internal"))
 
     @pytest.mark.parametrize("attentive", [True, False])
     def test_warm_start_keeps_every_relu_input_off_the_kink(self, monkeypatch, attentive):

@@ -44,7 +44,7 @@ class TestAttentionWeights:
         att = AttentionParams(rng.standard_normal((d_a, d_h)),
                               rng.standard_normal(d_a),
                               rng.standard_normal(d_a),
-                              np.array(0.4))
+                              np.array(0.4), BatchNorm.identity(d_a))
         h = rng.standard_normal((length, d_h))
         e = attention_scores(h, att)
         for t in range(length):

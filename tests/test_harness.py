@@ -24,8 +24,9 @@ from deskspeaker import fileio, harness, ivector
 from deskspeaker.cli import build_parser, main
 from deskspeaker.config import (EmbedStageConfig, config_to_dict,
                                 default_config, load_config, save_config)
-from deskspeaker.embednet import (combine_weights, export_attention_weights,
-                                  extract_embedding, load_embed_net, network)
+from deskspeaker.embednet import (combine_weights, embed_hidden,
+                                  hidden_attention_weights, load_embed_net,
+                                  network, tdnn_forward)
 from deskspeaker.errors import (DegenerateWeightsError, FormatError,
                                 StageDependencyError)
 from deskspeaker.harness import (STAGES, SYSTEMS, Report, SystemResult,
@@ -179,16 +180,15 @@ def _per_variant_vector(system, vad, frames, q, exported, nets, gmm, tvm):
     if spec.kind == "embed":
         net = nets[spec.net]
         left, right = net.left_context, net.right_context
-        if not vad and spec.weights != "external":
-            return extract_embedding(frames, net, spec.weights)
+        h = tdnn_forward(frames, net)
         if spec.weights == "uniform":
-            base = np.full(n - left - right, 1.0 / (n - left - right))
+            base = np.full(h.shape[0], 1.0 / h.shape[0])
         elif spec.weights == "internal":
-            base = export_attention_weights(frames, net)
+            base = hidden_attention_weights(h, net)
         else:
             base = exported
         w = combine_weights(base, q[left:n - right]) if vad else base
-        return extract_embedding(frames, net, w)
+        return embed_hidden(h, net, w)
     if spec.weights == "external":
         att = nets["att"]
         w = expand_frame_weights(exported, n, att.left_context,
@@ -235,7 +235,7 @@ def test_exported_weights_in_memory_equal_the_file(tiny_run):
     att = load_embed_net(out / "embed" / "att.emb1")
     for utt in _utt_ids(out):
         frames = fileio.read_features(out / "features" / "feats" / f"{utt}.afs")
-        alpha = export_attention_weights(frames, att)
+        alpha = hidden_attention_weights(tdnn_forward(frames, att), att)
         np.testing.assert_array_equal(
             fileio.stored_frame_weights(alpha),
             fileio.read_frame_weights(out / "weights" / f"{utt}.fwt"), err_msg=utt)
@@ -271,10 +271,9 @@ def test_extract_runs_each_shared_pass_once(tiny_run, tmp_path, monkeypatch):
         solves[len(counts)] += 1
         return posterior_solve(counts, first, tvm)
 
-    # also where the per-utterance functions look their passes up, so a
-    # pass run through extract_embedding or accumulate_stats counts too
-    for module in (harness, network):
-        monkeypatch.setattr(module, "tdnn_forward", counted_forward)
+    monkeypatch.setattr(harness, "tdnn_forward", counted_forward)
+    # also where accumulate_stats looks its posterior pass up, so a pass run
+    # through it counts too
     for module in (harness, ivector):
         monkeypatch.setattr(module, "gmm_posteriors", counted_posteriors)
     monkeypatch.setattr(network, "pool_weighted_stats", counted_pool)
@@ -693,11 +692,13 @@ def test_run_pipeline_validates_a_config_changed_after_it_was_built(tmp_path):
     with pytest.raises(ValueError, match="soft_vad"):
         run_pipeline(cfg)
     assert not (tmp_path / "run").exists()
-    cfg = _tiny_config(tmp_path / "run")
-    cfg.systems = ()  # what `--systems ","` leaves
-    with pytest.raises(ValueError, match="systems"):
-        run_pipeline(cfg)
-    assert not (tmp_path / "run").exists()
+    # () is what `--systems ","` leaves
+    for systems, message in (((), "systems"), (("S1", "S1"), "'S1'")):
+        cfg = _tiny_config(tmp_path / "run")
+        cfg.systems = systems
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(cfg)
+        assert not (tmp_path / "run").exists()
     for section, name, value in (
             ("embednet", "hidden_dim", 0), ("embednet", "pool_dim", 0),
             ("embednet", "embed_dim", 0), ("embednet", "attention_dim", 0),
@@ -812,6 +813,22 @@ def test_cli_report_rejects_scores_off_the_trial_list(tiny_run, tmp_path, capsys
     assert scores.name in captured.err and "trials.txt" in captured.err
 
 
+@pytest.mark.parametrize("part,stage,stage_dir", [("train", "backend", "backend"),
+                                                  ("enroll", "score", "scores")])
+def test_cli_refuses_a_vector_set_with_a_foreign_id(tiny_run, tmp_path, capsys,
+                                                    part, stage, stage_dir):
+    _, clone = _clone(tiny_run, tmp_path)
+    ids = clone / "vectors" / "S1-novad" / f"{part}.ids"
+    lines = ids.read_text().splitlines(keepends=True)
+    ids.write_text("".join(["nobody\n"] + lines[1:]))
+    (clone / stage_dir / ".stamp.json").unlink()
+    code = main([stage, "--config", str(clone / "config.yaml"), "--out", str(clone)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("deskspeaker: ")
+    assert str(ids) in captured.err
+
+
 def test_cli_extract_rejects_net_missing_a_tensor(tiny_run, tmp_path, capsys):
     _, clone = _clone(tiny_run, tmp_path)
     net = clone / "embed" / "att.emb1"
@@ -879,6 +896,32 @@ def test_no_source_file_imports_scipy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+# Public names that no stage calls, each kept for the acceptance suite.
+UNCALLED_BY_DESIGN = {
+    "chunk_loss": "criterion 2 takes its finite differences through it",
+    "kink_margin": "criterion 2 redraws instances that lie near a ReLU kink",
+    "pool_stats": "criterion 1 compares it with uniform weighted pooling",
+    "weight_posterior_correlation": "criterion 9 reports it",
+    "read_frame_weights": "criterion 9 reads the FWT1 weight files through it",
+}
+
+
+def test_every_public_name_is_used_in_the_source():
+    # A public top-level function or class that no source file but an
+    # __init__.py refers to is API that nothing uses.
+    defined, used = set(), set()
+    for path in sorted(Path(harness.__file__).resolve().parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined.update(node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+        if path.name != "__init__.py":
+            used.update(node.id if isinstance(node, ast.Name) else node.attr
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Name, ast.Attribute)))
+    assert sorted(defined - used) == sorted(UNCALLED_BY_DESIGN)
 
 
 def test_package_imports_without_scipy():

@@ -29,7 +29,7 @@ def _stats_oracle(frames, gmm, weights=None):
     n = np.zeros(gmm.n_components)
     first = np.zeros((gmm.n_components, gmm.dim))
     for t in range(length):
-        post = gmm_posteriors(frames[t], gmm)
+        post = gmm_posteriors(frames[t][None], gmm)[0]
         if weights is not None:
             post = post * (length * weights[t])
         for c in range(gmm.n_components):

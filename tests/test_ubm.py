@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 
 from deskspeaker import ubm
 from deskspeaker.errors import EmptyInputError
-from deskspeaker.ubm import DiagGmm, gmm_loglik, gmm_posteriors, train_gmm
+from deskspeaker.ubm import DiagGmm, gmm_posteriors, train_gmm
 
 
 def _random_gmm(rng, n_components=3, dim=4):
@@ -52,14 +52,6 @@ class TestPosteriors:
             assert (post >= 0).all()
             np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_single_frame_matches_batch(self):
-        rng = np.random.default_rng(62)
-        gmm = _random_gmm(rng)
-        x = rng.standard_normal(4)
-        np.testing.assert_array_equal(gmm_posteriors(x, gmm),
-                                      gmm_posteriors(x[None, :], gmm)[0])
-        assert gmm_posteriors(x, gmm).shape == (3,)
-
     def test_extreme_frames_stay_finite(self):
         rng = np.random.default_rng(63)
         gmm = _random_gmm(rng)
@@ -71,31 +63,38 @@ class TestPosteriors:
         gmm = DiagGmm(np.array([0.5, 0.5]),
                       np.array([[-5.0, 0.0], [5.0, 0.0]]),
                       np.ones((2, 2)))
-        post = gmm_posteriors(np.array([4.8, 0.1]), gmm)
+        post = gmm_posteriors(np.array([[4.8, 0.1]]), gmm)[0]
         assert post[1] > 0.999
 
 
 class TestLoglik:
+    """em_loglik[k] is the frames' log-likelihood under the model that EM
+    iteration k starts from; em_loglik[0] is the initial model's."""
+
+    @staticmethod
+    def _initial(frames, n_components):
+        """The initial model and the log-likelihood EM records for it."""
+        first = train_gmm(frames, n_components, n_iters=1, seed=3).em_loglik[0]
+        return train_gmm(frames, n_components, n_iters=0, seed=3), first
+
     def test_matches_oracle_sum(self):
         rng = np.random.default_rng(64)
-        gmm = _random_gmm(rng)
         for n in (15, int(2.5 * ubm.BLOCK_FRAMES)):  # one block, then three
             frames = rng.standard_normal((n, 4))
+            gmm, got = self._initial(frames, 3)
             expected = 0.0
             for t in range(n):
                 joint = np.exp(_log_density_oracle(frames[t], gmm)) * gmm.weights
                 expected += np.log(joint.sum())
-            assert gmm_loglik(frames, gmm) == pytest.approx(expected, rel=1e-12)
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_single_component_is_gaussian_logpdf(self):
         from scipy.stats import multivariate_normal
         rng = np.random.default_rng(65)
-        mean = rng.standard_normal(3)
-        var = rng.random(3) + 0.5
-        gmm = DiagGmm(np.array([1.0]), mean[None, :], var[None, :])
-        frames = rng.standard_normal((10, 3))
-        expected = multivariate_normal(mean, np.diag(var)).logpdf(frames).sum()
-        assert gmm_loglik(frames, gmm) == pytest.approx(expected, rel=1e-12)
+        frames = rng.standard_normal((10, 3)) * (rng.random(3) + 0.5) + rng.standard_normal(3)
+        gmm, got = self._initial(frames, 1)
+        expected = multivariate_normal(gmm.means[0], np.diag(gmm.variances[0])).logpdf(frames).sum()
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestTraining:
